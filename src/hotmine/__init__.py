@@ -6,158 +6,4 @@ by greedy submodular selection with an automatic cut point. See the README
 for the file formats and the CLI walkthrough.
 """
 
-from .bundling import (
-    BundleStats,
-    CoarseTopic,
-    bundle,
-    bundle_with_stats,
-    jaccard,
-    nms_dedupe,
-)
-from .candidates import (
-    TopicCandidate,
-    cascade_candidates,
-    load_candidates,
-    save_candidates,
-)
-from .errors import ConvergenceError, HotmineError, InputError
-from .evaluation import (
-    EvaluationReport,
-    GroundTruth,
-    accuracy_vs_fppt,
-    evaluate,
-    f1,
-    load_ground_truth,
-    nir,
-    top10_f1_vs_ndt,
-    write_curve_csv,
-)
-from .graph import (
-    SimilarityGraph,
-    SimilarityMatrix,
-    gaussian_affinity,
-    knn_sparsify,
-    load_graph,
-    load_similarity,
-    mix_graphs,
-    save_graph,
-    save_similarity,
-)
-from .interestingness import (
-    InterestingnessVector,
-    TopicGraph,
-    pagerank,
-    power_iterates,
-    reconstructed_similarity,
-    transition_matrix,
-)
-from .oracle import (
-    PropertyReport,
-    brute_force_subset,
-    check_monotonicity,
-    check_submodularity,
-    sample_instance,
-)
-from .pipeline import (
-    DetectedTopic,
-    PipelineConfig,
-    PipelineResult,
-    build_mixed_graph,
-    run_br,
-    run_br_from_matrices,
-    write_detections,
-    write_provenance,
-    write_report,
-)
-from .ranking import (
-    RankedTopicList,
-    apply_weights,
-    estimate_weights,
-    iterate_weights,
-    poisson_log_likelihood,
-    rank,
-)
-from .refining import (
-    DissimilarityMatrix,
-    RefinedTopic,
-    apply_cut,
-    cut_point,
-    dissimilarity,
-    goodness,
-    greedy_select,
-    marginal_gain,
-)
-from .synth import SyntheticData, SyntheticScenario, generate_synthetic
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BundleStats",
-    "CoarseTopic",
-    "ConvergenceError",
-    "DetectedTopic",
-    "DissimilarityMatrix",
-    "EvaluationReport",
-    "GroundTruth",
-    "HotmineError",
-    "InputError",
-    "InterestingnessVector",
-    "PipelineConfig",
-    "PipelineResult",
-    "PropertyReport",
-    "RankedTopicList",
-    "RefinedTopic",
-    "SimilarityGraph",
-    "SimilarityMatrix",
-    "SyntheticData",
-    "SyntheticScenario",
-    "TopicCandidate",
-    "TopicGraph",
-    "accuracy_vs_fppt",
-    "apply_cut",
-    "apply_weights",
-    "brute_force_subset",
-    "build_mixed_graph",
-    "bundle",
-    "bundle_with_stats",
-    "cascade_candidates",
-    "check_monotonicity",
-    "check_submodularity",
-    "cut_point",
-    "dissimilarity",
-    "estimate_weights",
-    "evaluate",
-    "f1",
-    "gaussian_affinity",
-    "generate_synthetic",
-    "goodness",
-    "greedy_select",
-    "iterate_weights",
-    "jaccard",
-    "knn_sparsify",
-    "load_candidates",
-    "load_graph",
-    "load_ground_truth",
-    "load_similarity",
-    "marginal_gain",
-    "mix_graphs",
-    "nir",
-    "nms_dedupe",
-    "pagerank",
-    "poisson_log_likelihood",
-    "power_iterates",
-    "rank",
-    "reconstructed_similarity",
-    "run_br",
-    "run_br_from_matrices",
-    "sample_instance",
-    "save_candidates",
-    "save_graph",
-    "save_similarity",
-    "top10_f1_vs_ndt",
-    "transition_matrix",
-    "write_curve_csv",
-    "write_detections",
-    "write_provenance",
-    "write_report",
-]

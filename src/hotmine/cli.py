@@ -27,22 +27,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bundling import bundle, nms_dedupe
 from .candidates import cascade_candidates, load_candidates, save_candidates, TopicCandidate
 from .errors import ConvergenceError, InputError
-from .evaluation import evaluate, load_ground_truth, write_curve_csv
+from .evaluation import EvaluationReport, evaluate, load_ground_truth, write_curves
 from .graph import load_graph, load_similarity, save_graph, save_similarity
 from .oracle import check_monotonicity, check_submodularity, sample_instance
 from .pipeline import (
+    STAGES,
     PipelineConfig,
     build_mixed_graph,
     run_br,
-    run_br_from_matrices,
     write_detections,
     write_provenance,
-    write_report,
 )
-from .ranking import apply_weights, estimate_weights, rank
 from .synth import SyntheticScenario, generate_synthetic
 
 _CONFIG_FIELDS = tuple(PipelineConfig.__dataclass_fields__)
@@ -72,7 +69,7 @@ def _add_config_flags(parser: argparse.ArgumentParser, base: PipelineConfig) -> 
     )
     g.add_argument(
         "--cascade-thresholds",
-        type=_float_list,
+        type=_list_of(float),
         default=base.cascade_thresholds,
         metavar="T1,T2,...",
     )
@@ -90,11 +87,18 @@ def _add_config_flags(parser: argparse.ArgumentParser, base: PipelineConfig) -> 
     g.add_argument("--seed", type=int, default=base.seed)
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
+def _list_of(kind: type):
+    """argparse type for a comma-separated list of `kind` values."""
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(part) for part in text.split(",") if part.strip())
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"bad {kind.__name__} list {text!r}"
+            ) from exc
+
+    return parse
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
@@ -117,7 +121,7 @@ def _build_parser(base: PipelineConfig) -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--n", type=int, required=True, help="total webpage count")
     p.add_argument(
-        "--topic-sizes", type=_int_list, required=True, metavar="S1,S2,..."
+        "--topic-sizes", type=_list_of(int), required=True, metavar="S1,S2,..."
     )
     p.add_argument("--fragments", type=int, default=3)
     p.add_argument("--fragment-drop", type=int, default=0)
@@ -158,7 +162,7 @@ def _build_parser(base: PipelineConfig) -> argparse.ArgumentParser:
     p.add_argument("--candidates", required=True)
     p.add_argument("--truth", help="optional ground-truth file")
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--stop-after", choices=("rank", "bundle", "refine"), default="refine")
+    p.add_argument("--stop-after", choices=STAGES, default="refine")
     p.add_argument("--max-fppt", type=int, default=None)
     _add_config_flags(p, base)
 
@@ -168,7 +172,7 @@ def _build_parser(base: PipelineConfig) -> argparse.ArgumentParser:
     p.add_argument("--candidates", required=True)
     p.add_argument("--truth", help="optional ground-truth file")
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--stop-after", choices=("rank", "bundle", "refine"), default="refine")
+    p.add_argument("--stop-after", choices=STAGES, default="refine")
     p.add_argument("--max-fppt", type=int, default=None)
     _add_config_flags(p, base)
 
@@ -185,13 +189,6 @@ def _build_parser(base: PipelineConfig) -> argparse.ArgumentParser:
     p.add_argument("--instances", type=int, default=5)
     p.add_argument("--oracle-seed", type=int, default=0)
     return parser
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad int list {text!r}") from exc
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -240,39 +237,39 @@ def _cmd_candidates(args: argparse.Namespace) -> int:
     return 0
 
 
-def _rank_from_files(args: argparse.Namespace, config: PipelineConfig):
+def _load_graph_inputs(args: argparse.Namespace):
     graph = load_graph(args.graph)
-    cands = load_candidates(args.candidates, n=graph.n)
-    weights = estimate_weights(
-        graph, cands, max_iter=config.pd_max_iter, tol=config.pd_tol
-    )
-    apply_weights(cands, weights)
-    return graph, cands, rank(cands)
+    return graph, load_candidates(args.candidates, n=graph.n)
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    _, _, ranked = _rank_from_files(args, config)
+    graph, cands = _load_graph_inputs(args)
+    result = run_br(config, graph, cands, stop_after="rank")
+    ranked = [cands[det.sources[0]] for det in result.detections]
     header = [
         f"rank {pos}: interestingness={item.interestingness!r} "
         f"weight={item.weight!r} size={item.size}"
-        for pos, item in enumerate(ranked.items)
+        for pos, item in enumerate(ranked)
     ]
-    save_candidates(ranked.items, args.out, header=header)
-    print(f"{args.out}: {len(ranked.items)} candidates ranked")
+    save_candidates(ranked, args.out, header=header)
+    print(f"{args.out}: {len(ranked)} candidates ranked")
     return 0
 
 
 def _cmd_bundle(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    _, _, ranked = _rank_from_files(args, config)
-    coarse = nms_dedupe(
-        bundle(ranked, window=config.window, tau=config.tau),
-        overlap_thresh=config.nms_thresh,
-    )
-    save_candidates(coarse, args.out)
-    print(f"{args.out}: {len(coarse)} coarse topics")
+    graph, cands = _load_graph_inputs(args)
+    result = run_br(config, graph, cands, stop_after="bundle")
+    save_candidates(result.detections, args.out)
+    print(f"{args.out}: {len(result.detections)} coarse topics")
     return 0
+
+
+def _emit_report(report: EvaluationReport, stem: Path) -> None:
+    for path in write_curves(report, stem):
+        print(path)
+    print(f"accuracy at FPPT<=5: {report.accuracy_at(5):.4f}")
 
 
 def _write_run_outputs(result, args: argparse.Namespace) -> int:
@@ -284,16 +281,13 @@ def _write_run_outputs(result, args: argparse.Namespace) -> int:
     print(topics_path)
     print(prov_path)
     if result.report is not None:
-        for path in write_report(result, prefix):
-            print(path)
-        print(f"accuracy at FPPT<=5: {result.report.accuracy_at(5):.4f}")
+        _emit_report(result.report, prefix)
     return 0
 
 
 def _cmd_refine(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    graph = load_graph(args.graph)
-    cands = load_candidates(args.candidates, n=graph.n)
+    graph, cands = _load_graph_inputs(args)
     truth = load_ground_truth(args.truth, n=graph.n) if args.truth else None
     result = run_br(
         config,
@@ -316,10 +310,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     cands = load_candidates(args.candidates, n=w_vis.n)
     truth = load_ground_truth(args.truth, n=w_vis.n) if args.truth else None
-    result = run_br_from_matrices(
+    result = run_br(
         config,
-        w_vis,
-        w_txt,
+        build_mixed_graph(config, w_vis, w_txt),
         cands,
         truth=truth,
         stop_after=args.stop_after,
@@ -332,14 +325,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     detections = load_candidates(args.detections, n=args.n)
     truth = load_ground_truth(args.truth, n=args.n)
     report = evaluate(detections, truth, max_fppt=args.max_fppt)
-    prefix = Path(args.out_prefix)
-    f1_path = prefix.with_name(prefix.name + "_top10_f1.csv")
-    acc_path = prefix.with_name(prefix.name + "_accuracy.csv")
-    write_curve_csv(report.top10_f1_curve, f1_path)
-    write_curve_csv(report.accuracy_fppt_curve, acc_path)
-    print(f1_path)
-    print(acc_path)
-    print(f"accuracy at FPPT<=5: {report.accuracy_at(5):.4f}")
+    _emit_report(report, Path(args.out_prefix))
     return 0
 
 
@@ -393,10 +379,7 @@ def main(argv: list[str] | None = None) -> int:
         base = _load_config_file(known.config) if known.config else PipelineConfig()
         args = _build_parser(base).parse_args(argv)
         return _COMMANDS[args.command](args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:

@@ -196,3 +196,13 @@ def write_curve_csv(curve: Iterable[tuple[float, float]], path: str | Path) -> N
     lines = ["x,y"]
     lines.extend(f"{x!r},{y!r}" for x, y in curve)
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_curves(report: EvaluationReport, stem: str | Path) -> list[Path]:
+    """Write both curves as `<stem>_top10_f1.csv` and `<stem>_accuracy.csv`."""
+    stem = Path(stem)
+    f1_path = stem.with_name(stem.name + "_top10_f1.csv")
+    acc_path = stem.with_name(stem.name + "_accuracy.csv")
+    write_curve_csv(report.top10_f1_curve, f1_path)
+    write_curve_csv(report.accuracy_fppt_curve, acc_path)
+    return [f1_path, acc_path]

@@ -201,7 +201,12 @@ def load_similarity(path: str | Path) -> SimilarityMatrix:
             raise InputError(f"{path}: malformed header, expected 'n nnz'") from exc
         if n < 1 or nnz < 0:
             raise InputError(f"{path}: header values out of range")
-        values = np.zeros((n, n))
+        try:
+            values = np.zeros((n, n))
+        except MemoryError as exc:
+            raise InputError(
+                f"{path}: header n={n} needs an n x n matrix that does not fit in memory"
+            ) from exc
         seen = 0
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():

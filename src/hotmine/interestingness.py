@@ -13,7 +13,7 @@ stage prunes on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -91,23 +91,6 @@ def transition_matrix(tg: TopicGraph) -> np.ndarray:
     return p
 
 
-def power_iterates(
-    p: np.ndarray, alpha: float = DEFAULT_DAMPING
-) -> Iterator[np.ndarray]:
-    """Yield successive iterates of pi <- alpha * P^T pi + (1 - alpha)/m.
-
-    Starts from the uniform vector. The caller decides when to stop; this
-    generator is infinite.
-    """
-    m = p.shape[0]
-    x = np.full(m, 1.0 / m)
-    jump = (1.0 - alpha) / m
-    pt = p.T.copy()
-    while True:
-        x = alpha * (pt @ x) + jump
-        yield x
-
-
 def pagerank(
     p: np.ndarray,
     alpha: float = DEFAULT_DAMPING,
@@ -139,14 +122,15 @@ def pagerank(
         bad = int(np.argmax(np.abs(rows - 1.0)))
         raise InputError(f"row {bad} of the transition matrix does not sum to 1")
 
+    # pi <- alpha * P^T pi + (1 - alpha)/m, from the uniform vector.
     x = np.full(m, 1.0 / m)
-    for iteration, x_next in enumerate(power_iterates(p, alpha), start=1):
-        diff = float(np.abs(x_next - x).sum())
-        x = x_next
-        if diff < tol:
+    jump = (1.0 - alpha) / m
+    pt = p.T.copy()
+    for iteration in range(1, max_iter + 1):
+        prev = x
+        x = alpha * (pt @ x) + jump
+        if float(np.abs(x - prev).sum()) < tol:
             return InterestingnessVector(pi=x, iterations=iteration)
-        if iteration >= max_iter:
-            break
     raise ConvergenceError(
         f"pagerank did not converge within {max_iter} iterations (tol={tol})"
     )

@@ -12,15 +12,13 @@ The driver glues the stages together behind one config object:
 
 `stop_after` lets callers run the weaker prefixes of the pipeline (rank
 only, or rank + bundle) as baselines against the full run. Every stage is
-deterministic given the config, so a rerun writes bit-identical outputs;
-wall-clock timings are reported in memory but never serialized.
+deterministic given the config, so a rerun writes bit-identical outputs.
 """
 
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -29,7 +27,7 @@ import numpy as np
 from .bundling import CoarseTopic, bundle, nms_dedupe
 from .candidates import TopicCandidate, save_candidates
 from .errors import InputError
-from .evaluation import EvaluationReport, GroundTruth, evaluate, write_curve_csv
+from .evaluation import EvaluationReport, GroundTruth, evaluate, write_curves
 from .graph import (
     SimilarityGraph,
     SimilarityMatrix,
@@ -136,7 +134,6 @@ class PipelineResult:
     stage: str
     detections: list[DetectedTopic]
     report: EvaluationReport | None
-    timings: dict[str, float] = field(default_factory=dict)
 
 
 def build_mixed_graph(
@@ -163,9 +160,11 @@ def _refine_topic(
     rank_pos: int,
     candidates: Sequence[TopicCandidate],
     config: PipelineConfig,
+    refine: bool,
 ) -> DetectedTopic:
-    if len(topic.members) <= 2:
-        # Too small for a gain trace; pass the coarse topic through.
+    if not refine or len(topic.members) <= 2:
+        # Stopped before refining, or too small for a gain trace: pass the
+        # coarse topic through.
         return DetectedTopic(
             rank=rank_pos,
             members=topic.members,
@@ -207,88 +206,37 @@ def run_br(
     stop_after: str = "refine",
     max_fppt: int | None = None,
 ) -> PipelineResult:
-    """Run the pipeline on a prebuilt graph and candidate list."""
+    """Run the pipeline on a prebuilt graph and candidate list.
+
+    Ranking annotates every candidate in place with its fitted weight and
+    interestingness. With stop_after="rank" each ranked candidate becomes
+    a single-source topic.
+    """
     if stop_after not in STAGES:
         raise InputError(f"stop_after must be one of {STAGES}, got {stop_after!r}")
-    timings: dict[str, float] = {}
-
-    start = time.perf_counter()
     weights = estimate_weights(
         graph, candidates, max_iter=config.pd_max_iter, tol=config.pd_tol
     )
     apply_weights(candidates, weights)
     ranked = rank(candidates)
-    timings["rank"] = time.perf_counter() - start
-
     if stop_after == "rank":
-        detections = [
-            DetectedTopic(
-                rank=pos,
-                members=item.members,
-                coarse_members=item.members,
-                sources=(ranked.indices[pos],),
-                bypassed=True,
-            )
+        coarse = [
+            CoarseTopic(item.members, (ranked.indices[pos],), pos)
             for pos, item in enumerate(ranked.items)
         ]
     else:
-        start = time.perf_counter()
         coarse = nms_dedupe(
             bundle(ranked, window=config.window, tau=config.tau),
             overlap_thresh=config.nms_thresh,
         )
-        timings["bundle"] = time.perf_counter() - start
-        if stop_after == "bundle":
-            detections = [
-                DetectedTopic(
-                    rank=pos,
-                    members=topic.members,
-                    coarse_members=topic.members,
-                    sources=topic.sources,
-                    bypassed=True,
-                )
-                for pos, topic in enumerate(coarse)
-            ]
-        else:
-            start = time.perf_counter()
-            detections = [
-                _refine_topic(topic, pos, candidates, config)
-                for pos, topic in enumerate(coarse)
-            ]
-            timings["refine"] = time.perf_counter() - start
-
-    report = None
-    if truth is not None:
-        start = time.perf_counter()
-        report = evaluate(detections, truth, max_fppt=max_fppt)
-        timings["eval"] = time.perf_counter() - start
+    refine = stop_after == "refine"
+    detections = [
+        _refine_topic(topic, pos, candidates, config, refine)
+        for pos, topic in enumerate(coarse)
+    ]
+    report = None if truth is None else evaluate(detections, truth, max_fppt=max_fppt)
     return PipelineResult(
-        config=config,
-        stage=stop_after,
-        detections=detections,
-        report=report,
-        timings=timings,
-    )
-
-
-def run_br_from_matrices(
-    config: PipelineConfig,
-    w_vis: SimilarityMatrix | np.ndarray,
-    w_txt: SimilarityMatrix | np.ndarray,
-    candidates: Sequence[TopicCandidate],
-    truth: GroundTruth | None = None,
-    stop_after: str = "refine",
-    max_fppt: int | None = None,
-) -> PipelineResult:
-    """Build the mixed graph from raw matrices, then run the pipeline."""
-    graph = build_mixed_graph(config, w_vis, w_txt)
-    return run_br(
-        config,
-        graph,
-        candidates,
-        truth=truth,
-        stop_after=stop_after,
-        max_fppt=max_fppt,
+        config=config, stage=stop_after, detections=detections, report=report
     )
 
 
@@ -338,9 +286,4 @@ def write_report(result: PipelineResult, stem: str | Path) -> list[Path]:
     """Write the two metric curves as CSV next to the given stem."""
     if result.report is None:
         raise InputError("run had no ground truth, no report to write")
-    stem = Path(stem)
-    f1_path = stem.with_name(stem.name + "_top10_f1.csv")
-    acc_path = stem.with_name(stem.name + "_accuracy.csv")
-    write_curve_csv(result.report.top10_f1_curve, f1_path)
-    write_curve_csv(result.report.accuracy_fppt_curve, acc_path)
-    return [f1_path, acc_path]
+    return write_curves(result.report, stem)

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .candidates import TopicCandidate
-from .errors import InputError
+from .errors import ConvergenceError, InputError
 from .graph import SimilarityGraph
 
 # Lower guard for the model mean inside the update ratio; keeps a zero mean
@@ -148,11 +148,24 @@ def estimate_weights(
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
-    """Fit candidate weights; returns the final nonnegative vector."""
-    mu = None
-    for mu in iterate_weights(g, candidates, max_iter=max_iter, tol=tol):
-        pass
-    assert mu is not None
+    """Fit candidate weights; returns the final nonnegative vector.
+
+    Raises ConvergenceError when the largest relative change has not fallen
+    below tol within max_iter updates: ranking on an unfinished fit would
+    pass for a converged one.
+    """
+    if max_iter < 1:
+        raise InputError(f"max_iter must be >= 1, got {max_iter}")
+    # One spare update tells a fit that converged on its last allowed step
+    # (the generator stops) from one that did not (it yields once more).
+    for step, mu in enumerate(
+        iterate_weights(g, candidates, max_iter=max_iter + 1, tol=tol), start=1
+    ):
+        if step > max_iter:
+            raise ConvergenceError(
+                f"weight estimation did not converge within {max_iter} "
+                f"iterations (tol={tol})"
+            )
     return mu
 
 

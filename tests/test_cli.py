@@ -1,5 +1,6 @@
 """Command-line interface: stage chain, config plumbing, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -7,6 +8,18 @@ import pytest
 from hotmine.cli import main
 
 COMMON = ["--no-apply-kernel", "--knn-txt", "20", "--knn-vis", "8", "--tau", "0.2"]
+
+# sha256 of the files `hotmine rank` and `hotmine bundle` write for the
+# corpus fixture; both stages run through run_br, so a change in its wiring
+# shows here first.
+PINNED_STAGE_FILES = {
+    "rank": "7a85e86adfec1e06b882118be91a45dba0da90014fbddc2fb59c9225198ba8b2",
+    "bundle": "611547de04562964385905ff0b4271adc36ced410e8403982cd31c96290b4fc0",
+}
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.fixture()
@@ -76,6 +89,7 @@ def test_stage_chain_runs_clean(corpus, tmp_path, capsys):
         line for line in ranked.read_text().splitlines() if line.startswith("#")
     ]
     assert header and "interestingness=" in header[0]
+    assert sha256(ranked) == PINNED_STAGE_FILES["rank"]
 
     coarse = tmp_path / "coarse.txt"
     rc = main([
@@ -86,7 +100,7 @@ def test_stage_chain_runs_clean(corpus, tmp_path, capsys):
         *COMMON,
     ])
     assert rc == 0
-    assert coarse.is_file()
+    assert sha256(coarse) == PINNED_STAGE_FILES["bundle"]
 
 
 def test_run_with_config_file_and_flag_override(corpus, tmp_path, capsys):
@@ -232,6 +246,39 @@ def test_convergence_failure_exits_two(corpus, tmp_path, capsys):
     ])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def run_args(corpus, tmp_path, *extra):
+    return [
+        "run",
+        "--vis", str(corpus / "vis.sim"),
+        "--txt", str(corpus / "txt.sim"),
+        "--candidates", str(corpus / "candidates.txt"),
+        "--out-prefix", str(tmp_path / "out"),
+        *COMMON,
+        *extra,
+    ]
+
+
+def test_deconvolution_cap_exits_two(corpus, tmp_path, capsys):
+    rc = main(run_args(corpus, tmp_path, "--pd-max-iter", "1"))
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: weight estimation did not converge")
+    assert not (tmp_path / "out_topics.txt").exists()
+
+
+def test_oversized_similarity_header_exits_one(corpus, tmp_path, capsys):
+    huge = tmp_path / "huge.sim"
+    huge.write_text("100000000 1\n0 1 0.5\n")
+    args = run_args(corpus, tmp_path)
+    args[args.index("--vis") + 1] = str(huge)
+    rc = main(args)
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "does not fit in memory" in err[0]
 
 
 def test_version_flag():

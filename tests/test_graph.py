@@ -287,6 +287,7 @@ def test_triplet_header_counts_upper_pairs(tmp_path):
         ("2 1\n0 1 1.5\n", "outside"),
         ("3 2\n0 1 0.5\n0 1 0.5\n", "duplicate"),
         ("2 2\n0 1 0.5\n", "promised"),
+        ("100000000 1\n0 1 0.5\n", "does not fit in memory"),
     ],
 )
 def test_load_similarity_rejects_malformed(tmp_path, text, message):

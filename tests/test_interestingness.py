@@ -1,5 +1,7 @@
 """Reconstructed similarity and damped PageRank scores."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from hotmine.errors import ConvergenceError, InputError
 from hotmine.interestingness import (
     TopicGraph,
     pagerank,
-    power_iterates,
     reconstructed_similarity,
     transition_matrix,
 )
@@ -168,27 +169,30 @@ def test_pagerank_star_matches_linear_solve():
 
 
 def test_power_iterates_preserve_total_mass():
+    # a loose tol stops pagerank early, so this sees intermediate iterates
     rng = np.random.default_rng(12)
     p = random_transition(rng, 9)
-    it = power_iterates(p, alpha=0.9)
-    for _ in range(40):
-        x = next(it)
-        assert x.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.all(x > 0.0)
+    for tol in (1e-1, 1e-3, 1e-6, 1e-9):
+        pi = pagerank(p, alpha=0.9, tol=tol).pi
+        assert pi.sum() == pytest.approx(1.0, abs=1e-9)
+        assert np.all(pi > 0.0)
 
 
 def test_power_iteration_contracts_at_rate_alpha():
+    # The k-th iterate is alpha**k times closer to the fixed point than the
+    # uniform start, and successive iterates are at most 2 * alpha**(k-1)
+    # apart in L1, so the step change falls below tol by the bound below.
     rng = np.random.default_rng(13)
     p = random_transition(rng, 8)
-    exact = pagerank(p, alpha=0.9, tol=1e-13, max_iter=3000).pi
-    it = power_iterates(p, alpha=0.9)
-    prev = float(np.abs(next(it) - exact).sum())
-    for _ in range(30):
-        cur = float(np.abs(next(it) - exact).sum())
-        if prev < 1e-10:
-            break
-        assert cur <= 0.9 * prev + 1e-11
-        prev = cur
+    for alpha in (0.5, 0.85, 0.9, 0.99):
+        exact = pagerank(p, alpha=alpha, tol=1e-15, max_iter=10_000).pi
+        start = float(np.abs(1.0 / 8 - exact).sum())
+        for tol in (1e-1, 1e-3, 1e-9, 1e-12):
+            result = pagerank(p, alpha=alpha, tol=tol, max_iter=10_000)
+            bound = math.ceil(math.log(tol / 2) / math.log(alpha)) + 1
+            assert result.iterations <= bound
+            error = float(np.abs(result.pi - exact).sum())
+            assert error <= alpha**result.iterations * start + 1e-13
 
 
 def test_pagerank_floor_from_random_jump():

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import graph_from_dense
 from hotmine.candidates import TopicCandidate
-from hotmine.errors import InputError
+from hotmine.errors import ConvergenceError, InputError
 from hotmine.ranking import (
     apply_weights,
     estimate_weights,
@@ -222,6 +222,8 @@ def test_iterate_validates_controls():
     cands = [TopicCandidate({0, 1})]
     with pytest.raises(InputError, match="max_iter"):
         list(iterate_weights(g, cands, max_iter=0))
+    with pytest.raises(InputError, match="max_iter"):
+        estimate_weights(g, cands, max_iter=0)
     with pytest.raises(InputError, match="tol"):
         list(iterate_weights(g, cands, tol=0.0))
 
@@ -233,3 +235,14 @@ def test_poisson_log_likelihood_validates_mu():
         poisson_log_likelihood(g, cands, np.array([0.1, 0.2]))
     with pytest.raises(InputError, match="nonnegative"):
         poisson_log_likelihood(g, cands, np.array([-0.5]))
+
+
+def test_estimate_raises_when_cap_hit():
+    g, cands, *_ = overlap_instance()
+    steps = list(iterate_weights(g, cands, max_iter=5000, tol=1e-12))
+    assert 1 < len(steps) < 5000
+    # converging on the last allowed step still returns the fitted weights
+    mu = estimate_weights(g, cands, max_iter=len(steps), tol=1e-12)
+    np.testing.assert_array_equal(mu, steps[-1])
+    with pytest.raises(ConvergenceError, match="did not converge within"):
+        estimate_weights(g, cands, max_iter=len(steps) - 1, tol=1e-12)
