@@ -50,17 +50,13 @@ class CoarseTopic:
     rank: int
 
 
-@dataclass
-class BundleStats:
-    jaccard_evaluations: int = 0
-
-
-def bundle_with_stats(
+def bundle(
     ranked: RankedTopicList,
     window: int = DEFAULT_WINDOW,
     tau: float = DEFAULT_TAU,
-) -> tuple[list[CoarseTopic], BundleStats]:
-    """Like bundle() but also reports how many overlaps were evaluated."""
+) -> list[CoarseTopic]:
+    """Bundle a ranked candidate list into coarse topics (window = 0 merges
+    nothing and passes every candidate through as its own topic)."""
     if window < 0:
         raise InputError(f"window must be >= 0, got {window}")
     if not (0.0 < tau <= 1.0):
@@ -68,7 +64,6 @@ def bundle_with_stats(
     items = ranked.items
     count = len(items)
     consumed = [False] * count
-    stats = BundleStats()
     out: list[CoarseTopic] = []
     for k in range(count):
         if consumed[k]:
@@ -78,7 +73,6 @@ def bundle_with_stats(
         for j in range(k + 1, min(count, k + window + 1)):
             if consumed[j]:
                 continue
-            stats.jaccard_evaluations += 1
             other = items[j].members
             # Overlap is measured against the growing union, not the seed.
             if len(union & other) / len(union | other) >= tau:
@@ -86,18 +80,7 @@ def bundle_with_stats(
                 sources.append(ranked.indices[j])
                 consumed[j] = True
         out.append(CoarseTopic(frozenset(union), tuple(sources), rank=k))
-    return out, stats
-
-
-def bundle(
-    ranked: RankedTopicList,
-    window: int = DEFAULT_WINDOW,
-    tau: float = DEFAULT_TAU,
-) -> list[CoarseTopic]:
-    """Bundle a ranked candidate list into coarse topics (window = 0 merges
-    nothing and passes every candidate through as its own topic)."""
-    topics, _ = bundle_with_stats(ranked, window=window, tau=tau)
-    return topics
+    return out
 
 
 def nms_dedupe(

@@ -379,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
         base = _load_config_file(known.config) if known.config else PipelineConfig()
         args = _build_parser(base).parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (InputError, OSError) as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:

@@ -94,15 +94,6 @@ class SimilarityGraph:
     def to_dense(self) -> np.ndarray:
         return self.adjacency.toarray()
 
-    def edge_weights(self) -> dict[tuple[int, int], float]:
-        """Map (i, j) with i < j to the edge weight."""
-        coo = self.adjacency.tocoo()
-        return {
-            (int(i), int(j)): float(v)
-            for i, j, v in zip(coo.row, coo.col, coo.data)
-            if i < j
-        }
-
 
 def gaussian_affinity(
     w: SimilarityMatrix, sigma2: float | None = None
@@ -203,7 +194,7 @@ def load_similarity(path: str | Path) -> SimilarityMatrix:
             raise InputError(f"{path}: header values out of range")
         try:
             values = np.zeros((n, n))
-        except MemoryError as exc:
+        except (MemoryError, ValueError) as exc:
             raise InputError(
                 f"{path}: header n={n} needs an n x n matrix that does not fit in memory"
             ) from exc

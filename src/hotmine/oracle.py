@@ -30,7 +30,7 @@ def brute_force_subset(
     stops). Ties return the lexicographically smallest subset.
     """
     pi = np.asarray(pi, dtype=float)
-    dm = np.asarray(getattr(d, "values", d), dtype=float)
+    dm = np.asarray(d, dtype=float)
     n = len(pi)
     if n > BRUTE_FORCE_LIMIT:
         raise InputError(
@@ -109,7 +109,7 @@ def check_submodularity(
     slack seen so a failure is reproducible and quantified.
     """
     pi = np.asarray(pi, dtype=float)
-    dm = np.asarray(getattr(d, "values", d), dtype=float)
+    dm = np.asarray(d, dtype=float)
     n = len(pi)
     if n < 2:
         raise InputError("need at least two members to nest subsets")
@@ -152,7 +152,7 @@ def check_monotonicity(
     so the check can demonstrate where the property breaks.
     """
     pi = np.asarray(pi, dtype=float)
-    dm = np.asarray(getattr(d, "values", d), dtype=float)
+    dm = np.asarray(d, dtype=float)
     n = len(pi)
     if n < 2:
         raise InputError("need at least two members to split")

@@ -13,14 +13,17 @@ over the covered pairs, fitted with the classic multiplicative update
     mu_k <- mu_k * ( sum_{ij in C_k} a_ij / w_ij ) / |pairs(C_k)|
 
 which never leaves the nonnegative orthant and never decreases the
-likelihood. A candidate's interestingness is its weight times its size, so
-a small dense fragment can outrank a big sparse blob of noise.
+likelihood. A covered pair with a_ij = 0 adds nothing to the numerator, and
+|pairs(C_k)| = s_k(s_k-1)/2 in closed form, so the fit runs over the covered
+edges only, read from the CSR adjacency; the -w_ij terms of the likelihood
+sum to -sum_k mu_k |pairs(C_k)|. A candidate's interestingness is its weight
+times its size, so a small dense fragment can outrank a big sparse blob of
+noise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -58,58 +61,53 @@ class RankedTopicList:
 
 
 class _Coverage:
-    """Pair-level view of a candidate list against a graph."""
+    """Covered-edge view of a candidate list against a graph."""
 
     def __init__(self, g: SimilarityGraph, candidates: Sequence[TopicCandidate]):
         if not candidates:
             raise InputError("no candidates to weight")
-        weights = g.edge_weights()
-        pair_index: dict[tuple[int, int], int] = {}
-        cand_rows: list[np.ndarray] = []
+        n = g.n
+        keys: list[np.ndarray] = []
         for cand in candidates:
-            members = cand.sorted_members()
-            if members and members[-1] >= g.n:
-                raise InputError(
-                    f"candidate member {members[-1]} outside graph (n={g.n})"
-                )
-            rows = [
-                pair_index.setdefault(pair, len(pair_index))
-                for pair in combinations(members, 2)
-            ]
-            cand_rows.append(np.asarray(rows, dtype=np.int64))
-        n_pairs = len(pair_index)
-        a = np.zeros(n_pairs)
-        for (i, j), row in pair_index.items():
-            a[row] = weights.get((i, j), 0.0)
-        if n_pairs == 0 or not np.any(a > 0.0):
-            raise InputError("no candidate covers any edge of the graph")
-        indptr = np.zeros(len(candidates) + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum([len(r) for r in cand_rows])
-        indices = np.concatenate(cand_rows) if n_pairs else np.empty(0, dtype=np.int64)
-        data = np.ones(len(indices))
-        # membership: pairs x candidates, one column per candidate
-        self.membership = sp.csc_matrix(
-            (data, indices, indptr), shape=(n_pairs, len(candidates))
+            members = np.asarray(cand.sorted_members(), dtype=np.int64)
+            if members[-1] >= n:
+                raise InputError(f"candidate member {members[-1]} outside graph (n={n})")
+            # triu_indices runs in lexicographic (i, j) order, i < j
+            iu, ju = np.triu_indices(len(members), 1)
+            keys.append(members[iu] * n + members[ju])
+        n_pairs = np.asarray([len(k) for k in keys])
+        pairs, first, inverse = np.unique(
+            np.concatenate(keys), return_index=True, return_inverse=True
         )
-        self.a = a
-        self.pair_counts = np.asarray([len(r) for r in cand_rows], dtype=float)
+        if len(pairs) == 0:
+            raise InputError("no candidate covers any edge of the graph")
+        a = np.asarray(g.adjacency[pairs // n, pairs % n]).ravel()
+        # Summing in first-appearance order, zeros included, keeps the bits
+        # of the starting guess; any other order rounds differently.
+        self.mu0 = float(a[np.argsort(first)].sum()) / float(n_pairs.sum())
+        edge = a > 0.0
+        if not edge.any():
+            raise InputError("no candidate covers any edge of the graph")
+        # membership: covered edges x candidates, one column per candidate;
+        # each column lists its edges in lexicographic order
+        kept = edge[inverse]
+        rows = (np.cumsum(edge) - 1)[inverse[kept]]
+        owner = np.repeat(np.arange(len(candidates)), n_pairs)[kept]
+        self.membership = sp.csc_matrix(
+            (np.ones(len(rows)), (rows, owner)), shape=(int(edge.sum()), len(candidates))
+        )
+        self.a = a[edge]
+        self.pair_counts = n_pairs.astype(float)
 
     def initial_weights(self) -> np.ndarray:
-        total_pairs = self.pair_counts.sum()
-        mu0 = float(self.a.sum()) / total_pairs
-        mu = np.full(len(self.pair_counts), mu0)
+        mu = np.full(len(self.pair_counts), self.mu0)
         mu[self.pair_counts == 0] = 0.0  # a singleton covers no pairs
         return mu
 
     def log_likelihood(self, mu: np.ndarray) -> float:
-        w = self.membership @ mu
-        out = -w.sum()
-        pos = self.a > 0.0
-        if np.any(pos):
-            with np.errstate(divide="ignore"):
-                logs = np.log(w[pos])
-            out += float(np.dot(self.a[pos], logs))
-        return float(out)
+        with np.errstate(divide="ignore"):
+            logs = np.log(self.membership @ mu)
+        return float(np.dot(self.a, logs) - np.dot(self.pair_counts, mu))
 
 
 def iterate_weights(

@@ -37,14 +37,6 @@ DEFAULT_TRADEOFF = 2.0
 DEFAULT_MARGIN = 0.1
 
 
-@dataclass(frozen=True)
-class DissimilarityMatrix:
-    """Gaussian dissimilarity over one topic graph, zero diagonal."""
-
-    values: np.ndarray
-    bandwidth: float
-
-
 @dataclass
 class RefinedTopic:
     """Greedy trace over one topic, plus the cut once it is applied.
@@ -63,12 +55,7 @@ class RefinedTopic:
     members: frozenset[int] | None = None
 
 
-def _matrix(d) -> np.ndarray:
-    values = getattr(d, "values", d)
-    return np.asarray(values, dtype=float)
-
-
-def dissimilarity(tg: TopicGraph, bandwidth: float = DEFAULT_BANDWIDTH) -> DissimilarityMatrix:
+def dissimilarity(tg: TopicGraph, bandwidth: float = DEFAULT_BANDWIDTH) -> np.ndarray:
     """D_ij = exp(-s_ij^2 / bandwidth) off the diagonal, 0 on it.
 
     High reconstructed similarity means low dissimilarity. The diagonal is
@@ -78,7 +65,7 @@ def dissimilarity(tg: TopicGraph, bandwidth: float = DEFAULT_BANDWIDTH) -> Dissi
         raise InputError(f"bandwidth must be a positive real, got {bandwidth}")
     values = np.exp(-(tg.weights ** 2) / bandwidth)
     np.fill_diagonal(values, 0.0)
-    return DissimilarityMatrix(values, float(bandwidth))
+    return values
 
 
 def _check_instance(pi: np.ndarray, d: np.ndarray) -> None:
@@ -98,7 +85,7 @@ def goodness(
 ) -> float:
     """Objective value of a member subset (local indices into pi)."""
     pi = np.asarray(pi, dtype=float)
-    dm = _matrix(d)
+    dm = np.asarray(d, dtype=float)
     _check_instance(pi, dm)
     sel = sorted(set(int(i) for i in selection))
     if not sel:
@@ -122,7 +109,7 @@ def marginal_gain(
     against the current selection; no full re-evaluation is needed.
     """
     pi = np.asarray(pi, dtype=float)
-    dm = _matrix(d)
+    dm = np.asarray(d, dtype=float)
     _check_instance(pi, dm)
     p = int(p)
     if p < 0 or p >= len(pi):
@@ -148,7 +135,7 @@ def greedy_select(
     the cut search needs. Ties go to the lower index.
     """
     pi = np.asarray(pi, dtype=float)
-    dm = _matrix(d)
+    dm = np.asarray(d, dtype=float)
     _check_instance(pi, dm)
     m = len(pi)
     if m == 0:

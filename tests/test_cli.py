@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -279,6 +280,26 @@ def test_oversized_similarity_header_exits_one(corpus, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: ") and "does not fit in memory" in err[0]
+
+
+@pytest.mark.parametrize("flag", ["--vis", "--candidates", "--config"])
+def test_non_utf8_input_exits_one(corpus, tmp_path, capsys, flag):
+    args = run_args(corpus, tmp_path)
+    if flag == "--config":
+        source = tmp_path / "config.json"
+        source.write_text('{"tau": 0.2}\n')
+        args += ["--config", str(source)]
+    else:
+        source = Path(args[args.index(flag) + 1])
+    bad = tmp_path / f"bad{source.suffix}"
+    raw = source.read_bytes()
+    bad.write_bytes(raw[:4] + b"\xff" + raw[4:])
+    args[args.index(flag) + 1] = str(bad)
+    assert main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ")
+    assert not (tmp_path / "out_topics.txt").exists()
 
 
 def test_version_flag():

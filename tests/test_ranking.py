@@ -4,11 +4,15 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import graph_from_dense
 from hotmine.candidates import TopicCandidate
 from hotmine.errors import ConvergenceError, InputError
 from hotmine.ranking import (
+    MEAN_GUARD,
     apply_weights,
     estimate_weights,
     iterate_weights,
@@ -154,6 +158,106 @@ def test_poisson_log_likelihood_matches_closed_form():
     assert poisson_log_likelihood(g, cands, mu) == pytest.approx(
         0.6 * np.log(0.5) - 0.5, abs=1e-12
     )
+
+
+# ------------------------------------------------- pair-enumerating reference
+
+
+def reference_fit(g, candidates, max_iter, tol):
+    """The fit over every covered pair, edge or not, one pair dict entry per
+    pair: the coverage build and update loop that the covered-edge version
+    replaced. Returns the iterates and the log-likelihood function."""
+    if not candidates:
+        raise InputError("no candidates to weight")
+    dense = g.to_dense()
+    pair_index = {}
+    cand_rows = []
+    for cand in candidates:
+        members = cand.sorted_members()
+        if members and members[-1] >= g.n:
+            raise InputError(f"candidate member {members[-1]} outside graph (n={g.n})")
+        rows = [
+            pair_index.setdefault(pair, len(pair_index))
+            for pair in combinations(members, 2)
+        ]
+        cand_rows.append(np.asarray(rows, dtype=np.int64))
+    n_pairs = len(pair_index)
+    a = np.zeros(n_pairs)
+    for (i, j), row in pair_index.items():
+        a[row] = dense[i, j]
+    if n_pairs == 0 or not np.any(a > 0.0):
+        raise InputError("no candidate covers any edge of the graph")
+    indptr = np.zeros(len(candidates) + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum([len(r) for r in cand_rows])
+    indices = np.concatenate(cand_rows)
+    membership = sp.csc_matrix(
+        (np.ones(len(indices)), indices, indptr), shape=(n_pairs, len(candidates))
+    )
+    pair_counts = np.asarray([len(r) for r in cand_rows], dtype=float)
+
+    def log_likelihood(mu):
+        w = membership @ mu
+        pos = a > 0.0
+        with np.errstate(divide="ignore"):
+            return float(-w.sum() + np.dot(a[pos], np.log(w[pos])))
+
+    mu = np.full(len(candidates), float(a.sum()) / pair_counts.sum())
+    mu[pair_counts == 0] = 0.0
+    counts = np.maximum(pair_counts, 1.0)
+    iterates = []
+    for _ in range(max_iter):
+        w = membership @ mu
+        ratio = a / np.maximum(w, MEAN_GUARD)
+        mu_new = mu * (membership.T @ ratio) / counts
+        change = np.max(np.abs(mu_new - mu) / np.maximum(mu, MEAN_GUARD))
+        mu = mu_new
+        iterates.append(mu.copy())
+        if change < tol:
+            break
+    return iterates, log_likelihood
+
+
+@st.composite
+def fit_instances(draw):
+    """Small graphs with candidate lists that mix singletons, duplicates,
+    edgeless candidates, overlaps and, now and then, a member outside."""
+    n = draw(st.integers(2, 9))
+    weight = st.one_of(st.just(0.0), st.floats(0.01, 1.0), st.sampled_from([0.1, 0.3, 1.0]))
+    vals = np.zeros((n, n))
+    for i, j in combinations(range(n), 2):
+        vals[i, j] = vals[j, i] = draw(weight)
+    reach = n + draw(st.sampled_from([0, 0, 0, 1]))
+    member_sets = st.sets(st.integers(0, reach - 1), min_size=1, max_size=reach)
+    sets = draw(st.lists(member_sets, min_size=1, max_size=8))
+    sets += draw(st.lists(st.sampled_from(sets), max_size=3))  # duplicates
+    order = draw(st.permutations(range(len(sets))))
+    return graph_from_dense(vals), [TopicCandidate(sets[k]) for k in order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(fit_instances(), st.integers(1, 60), st.sampled_from([1e-3, 1e-6, 1e-9]))
+def test_fit_matches_pair_enumerating_reference(instance, max_iter, tol):
+    g, cands = instance
+    try:
+        expected, expected_ll = reference_fit(g, cands, max_iter + 1, tol)
+    except InputError:
+        with pytest.raises(InputError):
+            list(iterate_weights(g, cands, max_iter=max_iter + 1, tol=tol))
+        with pytest.raises(InputError):
+            estimate_weights(g, cands, max_iter=max_iter, tol=tol)
+        return
+    got = list(iterate_weights(g, cands, max_iter=max_iter + 1, tol=tol))
+    assert len(got) == len(expected)
+    for mu, ref in zip(got, expected):
+        assert np.array_equal(mu, ref)
+        assert poisson_log_likelihood(g, cands, mu) == pytest.approx(
+            expected_ll(ref), rel=1e-9, abs=1e-9
+        )
+    if len(expected) > max_iter:
+        with pytest.raises(ConvergenceError):
+            estimate_weights(g, cands, max_iter=max_iter, tol=tol)
+    else:
+        assert np.array_equal(estimate_weights(g, cands, max_iter=max_iter, tol=tol), expected[-1])
 
 
 # --------------------------------------------------------------- ranking

@@ -44,16 +44,15 @@ def goodness_reference(selection, pi, d, lam):
 def test_dissimilarity_gaussian_value():
     tg = TopicGraph((0, 1), np.array([[0.0, 1.0], [1.0, 0.0]]))
     d = dissimilarity(tg, bandwidth=10.0)
-    assert d.values[0, 1] == pytest.approx(np.exp(-0.1))
-    assert d.values[0, 0] == 0.0
-    assert d.bandwidth == 10.0
+    assert d[0, 1] == pytest.approx(np.exp(-0.1))
+    assert d[0, 0] == 0.0
 
 
 def test_dissimilarity_decreases_with_similarity():
     w = np.zeros((3, 3))
     w[0, 1] = w[1, 0] = 0.2
     w[0, 2] = w[2, 0] = 1.5
-    d = dissimilarity(TopicGraph((0, 1, 2), w)).values
+    d = dissimilarity(TopicGraph((0, 1, 2), w))
     assert d[0, 2] < d[0, 1] < 1.0
     # absent similarity means maximal dissimilarity
     assert d[1, 2] == 1.0
@@ -229,7 +228,7 @@ def test_cut_point_validation():
 
 def test_refine_toy_topic_keeps_the_strong_pair():
     tg, pi, d = toy_instance()
-    assert d.values[0, 1] == pytest.approx(np.exp(-0.081), abs=1e-15)
+    assert d[0, 1] == pytest.approx(np.exp(-0.081), abs=1e-15)
     assert pi[0] == pytest.approx(pi[1], abs=1e-9)
     assert pi[2] == pytest.approx(pi[3], abs=1e-9)
     assert pi[0] > pi[2]
@@ -249,7 +248,7 @@ def test_refine_planted_core_against_hangers_on():
             if i != j:
                 w[i, j] = 3.0
     d = dissimilarity(TopicGraph(tuple(range(6)), w), bandwidth=10.0)
-    refined = apply_cut(greedy_select(pi, d.values, lam=2.0), margin=0.1)
+    refined = apply_cut(greedy_select(pi, d, lam=2.0), margin=0.1)
     assert refined.cut_index == 2
     assert refined.members == frozenset({0, 1, 2})
     assert refined.gains[0] == pytest.approx(0.6)
