@@ -9,10 +9,14 @@ inside exactly one coarse topic. A final non-maximum-suppression pass drops
 coarse topics that mostly duplicate a better-ranked one.
 
 The scan evaluates at most K * window Jaccard overlaps for K candidates.
+Suppression looks each page of a topic up in a page -> kept-topic index, so
+its cost is the pages of each topic times the kept topics holding them, not
+(coarse topics)^2.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -22,23 +26,6 @@ from .ranking import RankedTopicList
 DEFAULT_WINDOW = 100
 DEFAULT_TAU = 0.4
 DEFAULT_NMS_THRESH = 0.4
-
-
-def _members_of(obj) -> frozenset[int]:
-    if isinstance(obj, (set, frozenset)):
-        return frozenset(obj)
-    members = getattr(obj, "members", None)
-    if members is None:
-        raise InputError(f"cannot read a member set from {type(obj).__name__}")
-    return frozenset(members)
-
-
-def jaccard(a, b) -> float:
-    """|a & b| / |a | b| for two member sets (or anything with .members)."""
-    sa, sb = _members_of(a), _members_of(b)
-    if not sa or not sb:
-        raise InputError("jaccard requires nonempty member sets")
-    return len(sa & sb) / len(sa | sb)
 
 
 @dataclass(frozen=True)
@@ -92,17 +79,30 @@ def nms_dedupe(
     A topic survives only if its Jaccard overlap with every already kept
     topic stays below overlap_thresh. Kept topics therefore overlap
     pairwise strictly below the threshold.
+
+    Only kept topics sharing a page can reach overlap_thresh > 0, so they
+    are found through a page -> kept-topic index: the cost is the pages of
+    each topic times the kept topics holding them.
     """
     if not (0.0 < overlap_thresh < 1.0):
         raise InputError(
             f"overlap_thresh must lie in (0, 1), got {overlap_thresh}"
         )
     kept: list[CoarseTopic] = []
+    holders: dict[int, list[int]] = {}  # page -> positions in kept
     for topic in coarse:
-        duplicate = any(
-            jaccard(topic.members, other.members) >= overlap_thresh
-            for other in kept
-        )
-        if not duplicate:
-            kept.append(topic)
+        size = len(topic.members)
+        if not size:
+            raise InputError("nms_dedupe requires nonempty member sets")
+        shared = Counter(pos for page in topic.members for pos in holders.get(page, ()))
+        # size + |other| - inter is |topic | other| as an exact int, so the
+        # ratio is the same float as len(a & b) / len(a | b).
+        if any(
+            inter / (size + len(kept[pos].members) - inter) >= overlap_thresh
+            for pos, inter in shared.items()
+        ):
+            continue
+        for page in topic.members:
+            holders.setdefault(page, []).append(len(kept))
+        kept.append(topic)
     return kept

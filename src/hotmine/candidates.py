@@ -101,8 +101,11 @@ def load_candidates(
     below it.
     """
     if isinstance(source, (str, Path)):
-        lines = Path(source).read_text().splitlines()
         name = str(source)
+        try:
+            lines = Path(source).read_text().splitlines()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{name}: not UTF-8 text: {exc}") from exc
     else:
         lines = list(source)
         name = "<candidates>"

@@ -48,6 +48,8 @@ _CONFIG_FIELDS = tuple(PipelineConfig.__dataclass_fields__)
 def _load_config_file(path: str) -> PipelineConfig:
     try:
         data = json.loads(Path(path).read_text())
+    except UnicodeDecodeError as exc:
+        raise InputError(f"config file {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -379,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
         base = _load_config_file(known.config) if known.config else PipelineConfig()
         args = _build_parser(base).parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (InputError, OSError, UnicodeDecodeError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:

@@ -182,43 +182,47 @@ def save_similarity(matrix: SimilarityMatrix, path: str | Path) -> None:
 def load_similarity(path: str | Path) -> SimilarityMatrix:
     """Read a triplet-format matrix, validating indices and value range."""
     path = Path(path)
-    with path.open() as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise InputError(f"{path}: malformed header, expected 'n nnz'")
-        try:
-            n, nnz = int(header[0]), int(header[1])
-        except ValueError as exc:
-            raise InputError(f"{path}: malformed header, expected 'n nnz'") from exc
-        if n < 1 or nnz < 0:
-            raise InputError(f"{path}: header values out of range")
-        try:
-            values = np.zeros((n, n))
-        except (MemoryError, ValueError) as exc:
-            raise InputError(
-                f"{path}: header n={n} needs an n x n matrix that does not fit in memory"
-            ) from exc
-        seen = 0
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise InputError(f"{path}:{lineno}: expected 'i j value'")
+    try:
+        with path.open() as fh:
+            header = fh.readline().split()
+            if len(header) != 2:
+                raise InputError(f"{path}: malformed header, expected 'n nnz'")
             try:
-                i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
+                n, nnz = int(header[0]), int(header[1])
             except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: expected 'i j value'") from exc
-            if not (0 <= i < j < n):
+                raise InputError(f"{path}: malformed header, expected 'n nnz'") from exc
+            if n < 1 or nnz < 0:
+                raise InputError(f"{path}: header values out of range")
+            try:
+                values = np.zeros((n, n))
+            except (MemoryError, ValueError) as exc:
                 raise InputError(
-                    f"{path}:{lineno}: indices must satisfy 0 <= i < j < n"
-                )
-            if not np.isfinite(v) or v < 0.0 or v > 1.0:
-                raise InputError(f"{path}:{lineno}: value outside [0, 1]")
-            if values[i, j] != 0.0:
-                raise InputError(f"{path}:{lineno}: duplicate pair ({i}, {j})")
-            values[i, j] = values[j, i] = v
-            seen += 1
+                    f"{path}: header n={n} needs an n x n matrix that does not fit in memory"
+                ) from exc
+            seen = 0
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                parts = line.split()
+                if len(parts) != 3:
+                    raise InputError(f"{path}:{lineno}: expected 'i j value'")
+                try:
+                    i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
+                except ValueError as exc:
+                    raise InputError(f"{path}:{lineno}: expected 'i j value'") from exc
+                if not (0 <= i < j < n):
+                    raise InputError(
+                        f"{path}:{lineno}: indices must satisfy 0 <= i < j < n"
+                    )
+                if not np.isfinite(v) or v < 0.0 or v > 1.0:
+                    raise InputError(f"{path}:{lineno}: value outside [0, 1]")
+                if values[i, j] != 0.0:
+                    raise InputError(f"{path}:{lineno}: duplicate pair ({i}, {j})")
+                values[i, j] = values[j, i] = v
+                seen += 1
+    except UnicodeDecodeError as exc:
+        # the codec's byte position counts from a read buffer, not the file
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if seen != nnz:
         raise InputError(f"{path}: header promised {nnz} entries, found {seen}")
     return SimilarityMatrix(values)

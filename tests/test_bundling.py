@@ -1,12 +1,16 @@
 """Window bundling and non-maximum suppression."""
 
+import time
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hotmine.bundling import CoarseTopic, bundle, jaccard, nms_dedupe
+from hotmine.bundling import CoarseTopic, bundle, nms_dedupe
 from hotmine.candidates import TopicCandidate
 from hotmine.errors import InputError
+from hotmine.evaluation import nir
 from hotmine.ranking import RankedTopicList
 
 
@@ -16,29 +20,16 @@ def ranked_from_sets(sets):
     return RankedTopicList(items=items, indices=list(range(len(items))))
 
 
+def as_coarse(sets):
+    """Treat the given member sets as coarse topics in rank order."""
+    return [CoarseTopic(frozenset(s), sources=(k,), rank=k) for k, s in enumerate(sets)]
+
+
 member_sets = st.lists(
     st.frozensets(st.integers(0, 30), min_size=1, max_size=6),
     min_size=1,
     max_size=12,
 )
-
-
-# --------------------------------------------------------------- jaccard
-
-
-def test_jaccard_basic():
-    assert jaccard({1, 2}, {2, 3}) == pytest.approx(1.0 / 3.0)
-    assert jaccard({1, 2}, {1, 2}) == 1.0
-    assert jaccard({1}, {2}) == 0.0
-
-
-def test_jaccard_accepts_objects_with_members():
-    assert jaccard(TopicCandidate({1, 2}), {2, 3}) == pytest.approx(1.0 / 3.0)
-
-
-def test_jaccard_rejects_empty():
-    with pytest.raises(InputError, match="nonempty"):
-        jaccard(set(), {1})
 
 
 # --------------------------------------------------------------- bundling
@@ -159,17 +150,93 @@ def test_nms_chain_only_checks_against_kept():
 @settings(max_examples=60, deadline=None)
 @given(member_sets, st.floats(0.05, 0.95))
 def test_nms_kept_topics_overlap_below_threshold(sets, thresh):
-    coarse = [
-        CoarseTopic(frozenset(s), sources=(k,), rank=k) for k, s in enumerate(sets)
-    ]
+    coarse = as_coarse(sets)
     kept = nms_dedupe(coarse, overlap_thresh=thresh)
     assert kept and kept[0] == coarse[0]
     for i in range(len(kept)):
         for j in range(i + 1, len(kept)):
-            assert jaccard(kept[i].members, kept[j].members) < thresh
+            assert nir(kept[i].members, kept[j].members) < thresh
 
 
 @pytest.mark.parametrize("thresh", [0.0, 1.0, -0.3, 1.7])
 def test_nms_rejects_bad_threshold(thresh):
     with pytest.raises(InputError, match="overlap_thresh"):
         nms_dedupe([], overlap_thresh=thresh)
+
+
+def reference_jaccard(a, b):
+    """The pairwise overlap the scan below was written against."""
+    sa, sb = frozenset(a), frozenset(b)
+    if not sa or not sb:
+        raise InputError("jaccard requires nonempty member sets")
+    return len(sa & sb) / len(sa | sb)
+
+
+def reference_nms(coarse, overlap_thresh):
+    """Suppression by comparing each topic with every kept topic."""
+    kept = []
+    for topic in coarse:
+        duplicate = any(
+            reference_jaccard(topic.members, other.members) >= overlap_thresh
+            for other in kept
+        )
+        if not duplicate:
+            kept.append(topic)
+    return kept
+
+
+# pages 0-15 make most pairs of topics share pages, and ratios such as
+# 1/3, 2/5, 1/2 and 2/3 come up often enough to land exactly on a threshold
+crowded_sets = st.lists(
+    st.frozensets(st.integers(0, 15), min_size=1, max_size=10), max_size=40
+)
+thresholds = st.one_of(
+    st.sampled_from([1.0 / 3.0, 0.4, 0.5, 2.0 / 3.0]),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(crowded_sets, thresholds)
+@example([{1, 2}, {2, 3, 4}, {4, 5}], 1.0 / 3.0)  # |a & b| / |a | b| == thresh
+@example([{1, 2, 3}, {3, 4, 5, 6, 7}], 1.0 / 7.0)
+def test_nms_matches_pairwise_scan(sets, thresh):
+    coarse = as_coarse(sets)
+    assert nms_dedupe(coarse, overlap_thresh=thresh) == reference_nms(coarse, thresh)
+
+
+@pytest.mark.parametrize("sets", [
+    [set()],
+    [set(), {1, 2}],
+    [{1, 2}, set()],
+    [{1, 2}, set(), {7, 8}],
+])
+def test_nms_rejects_empty_member_set_at_any_position(sets):
+    with pytest.raises(InputError, match="nonempty"):
+        nms_dedupe(as_coarse(sets), overlap_thresh=0.4)
+
+
+def test_nms_time_scales_linearly_in_topics():
+    rng = np.random.default_rng(12)
+    sizes = (1000, 2000, 4000)
+    inputs = [
+        as_coarse(rng.choice(100_000, size=8, replace=False).tolist() for _ in range(count))
+        for count in sizes
+    ]
+    times = [np.inf] * len(sizes)
+    # best of 3 per size; the sizes take turns so that a slow spell of the
+    # machine hits all of them rather than bending the fit
+    for _ in range(3):
+        for k, coarse in enumerate(inputs):
+            t0 = time.perf_counter()
+            nms_dedupe(coarse, overlap_thresh=0.4)
+            times[k] = min(times[k], time.perf_counter() - t0)
+    xs, ys = np.log(np.asarray(sizes, float)), np.log(np.asarray(times))
+    slope, intercept = np.polyfit(xs, ys, 1)
+    fit = slope * xs + intercept
+    ss_res = float(np.sum((ys - fit) ** 2))
+    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    r_squared = 1.0 - ss_res / ss_tot
+    # comparing every topic with every kept one gives a slope near 2
+    assert slope <= 1.5, f"slope {slope:.3f}, times {times}"
+    assert r_squared >= 0.9, f"R^2 {r_squared:.4f}, times {times}"

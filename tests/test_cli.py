@@ -298,7 +298,7 @@ def test_non_utf8_input_exits_one(corpus, tmp_path, capsys, flag):
     assert main(args) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("error: ")
+    assert err[0].startswith("error: ") and str(bad) in err[0]
     assert not (tmp_path / "out_topics.txt").exists()
 
 

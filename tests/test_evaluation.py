@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hotmine.bundling import jaccard
 from hotmine.candidates import TopicCandidate
 from hotmine.errors import InputError
 from hotmine.evaluation import (
@@ -70,6 +69,21 @@ def test_f1_and_nir_reject_empty_sets():
         nir({1}, set())
 
 
+def test_nir_rejects_empty_first_set():
+    with pytest.raises(InputError, match="nonempty"):
+        nir(set(), {1})
+
+
+def test_nir_values():
+    assert nir({1, 2}, {2, 3}) == pytest.approx(1.0 / 3.0)
+    assert nir({1, 2}, {1, 2}) == 1.0
+    assert nir({1}, {2}) == 0.0
+
+
+def test_nir_accepts_objects_with_members():
+    assert nir(TopicCandidate({1, 2}), {2, 3}) == pytest.approx(1.0 / 3.0)
+
+
 def test_f1_value_is_argument_symmetric():
     # 2|D&G| / (|D| + |G|) does not care which side is which, even though
     # precision and recall individually swap roles
@@ -97,7 +111,7 @@ def test_matching_protocol_is_rank_order_sensitive():
 @settings(max_examples=100, deadline=None)
 @given(nonempty_sets, nonempty_sets)
 def test_nir_is_jaccard_and_symmetric(a, b):
-    assert nir(a, b) == jaccard(a, b)
+    assert nir(a, b) == len(a & b) / len(a | b)
     assert nir(a, b) == nir(b, a)
     assert 0.0 <= nir(a, b) <= 1.0
 
