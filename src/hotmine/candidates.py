@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import InputError
 from .graph import SimilarityGraph
@@ -70,6 +69,9 @@ def cascade_candidates(
         raise InputError("thresholds must lie strictly inside (0, 1)")
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise InputError("thresholds must be strictly increasing")
+
+    # imported here: no other stage needs csgraph, and it slows every start
+    from scipy.sparse.csgraph import connected_components
 
     out: list[TopicCandidate] = []
     seen: set[frozenset[int]] = set()

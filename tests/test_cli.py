@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hotmine
 from hotmine.cli import main
 
 COMMON = ["--no-apply-kernel", "--knn-txt", "20", "--knn-vis", "8", "--tau", "0.2"]
@@ -272,7 +276,7 @@ def test_deconvolution_cap_exits_two(corpus, tmp_path, capsys):
 
 def test_oversized_similarity_header_exits_one(corpus, tmp_path, capsys):
     huge = tmp_path / "huge.sim"
-    huge.write_text("100000000 1\n0 1 0.5\n")
+    huge.write_text(f"{2**31} 1\n0 1 0.5\n")
     args = run_args(corpus, tmp_path)
     args[args.index("--vis") + 1] = str(huge)
     rc = main(args)
@@ -306,3 +310,15 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_cli_import_leaves_csgraph_unloaded():
+    # only cascade_candidates needs scipy.sparse.csgraph; importing it at
+    # start-up slows every command
+    src = str(Path(hotmine.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, hotmine.cli; print('scipy.sparse.csgraph' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -1,9 +1,14 @@
 """Similarity matrices, Gaussian affinities, kNN sparsification, mixing, file I/O."""
 
+import time
+import tracemalloc
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_from_dense, random_similarity
@@ -19,6 +24,7 @@ from hotmine.graph import (
     save_graph,
     save_similarity,
 )
+from hotmine.pipeline import PipelineConfig, build_mixed_graph
 
 
 def sym(values):
@@ -79,9 +85,9 @@ def test_graph_edge_accessors():
     assert g.n == 3
     assert g.edge_count == 2
     np.testing.assert_array_equal(
-        g.to_dense(), [[0.0, 0.3, 0.0], [0.3, 0.0, 0.7], [0.0, 0.7, 0.0]]
+        g.adjacency.toarray(), [[0.0, 0.3, 0.0], [0.3, 0.0, 0.7], [0.0, 0.7, 0.0]]
     )
-    np.testing.assert_array_equal(g.to_dense(), g.to_dense().T)
+    np.testing.assert_array_equal(g.adjacency.toarray(), g.adjacency.toarray().T)
 
 
 # --------------------------------------------------------------- affinity
@@ -144,14 +150,14 @@ def test_knn_full_neighbor_count_is_dense():
     vals = np.triu(vals, 1)
     m = SimilarityMatrix(vals + vals.T)
     g = knn_sparsify(m, k=5)
-    np.testing.assert_allclose(g.to_dense(), m.values, atol=1e-12)
+    np.testing.assert_allclose(g.adjacency.toarray(), m.values, atol=1e-12)
 
 
 def test_knn_chain_keeps_strongest_neighbors():
     # a-b 0.9, b-c 0.5, a-c absent; k = 1 keeps exactly those two edges
     m = sym([[0.0, 0.9, 0.0], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]])
     g = knn_sparsify(m, k=1)
-    np.testing.assert_array_equal(g.to_dense(), m.values)
+    np.testing.assert_array_equal(g.adjacency.toarray(), m.values)
 
 
 def test_knn_tie_breaks_to_lower_index():
@@ -167,7 +173,7 @@ def test_knn_tie_breaks_to_lower_index():
     g = knn_sparsify(m, k=1)
     expected = m.values.copy()
     expected[0, 2] = expected[2, 0] = 0.0
-    np.testing.assert_array_equal(g.to_dense(), expected)
+    np.testing.assert_array_equal(g.adjacency.toarray(), expected)
 
 
 def test_knn_weights_come_from_input():
@@ -197,7 +203,7 @@ def test_knn_preserves_symmetry_and_range(seed):
     if not (m.values > 0).any():
         return
     g = knn_sparsify(gaussian_affinity(m, sigma2=0.5), k=k)
-    dense = g.to_dense()
+    dense = g.adjacency.toarray()
     np.testing.assert_array_equal(dense, dense.T)
     assert np.all(np.diagonal(dense) == 0.0)
     assert dense.min() >= 0.0 and dense.max() <= 1.0
@@ -209,13 +215,13 @@ def test_knn_preserves_symmetry_and_range(seed):
 def test_mix_identical_graphs_is_identity():
     g = graph_from_dense([[0.0, 0.6], [0.6, 0.0]])
     mixed = mix_graphs(g, g)
-    np.testing.assert_array_equal(mixed.to_dense(), g.to_dense())
+    np.testing.assert_array_equal(mixed.adjacency.toarray(), g.adjacency.toarray())
 
 
 def test_mix_one_sided_edge_halves():
     a = graph_from_dense([[0.0, 0.8], [0.8, 0.0]])
     b = graph_from_dense(np.zeros((2, 2)))
-    np.testing.assert_array_equal(mix_graphs(a, b).to_dense(), [[0.0, 0.4], [0.4, 0.0]])
+    np.testing.assert_array_equal(mix_graphs(a, b).adjacency.toarray(), [[0.0, 0.4], [0.4, 0.0]])
 
 
 def test_mix_matches_dense_reference():
@@ -224,7 +230,7 @@ def test_mix_matches_dense_reference():
     b = random_similarity(rng, 10, density=0.4)
     ga, gb = graph_from_dense(a.values), graph_from_dense(b.values)
     np.testing.assert_allclose(
-        mix_graphs(ga, gb).to_dense(), (a.values + b.values) / 2.0, atol=1e-12
+        mix_graphs(ga, gb).adjacency.toarray(), (a.values + b.values) / 2.0, atol=1e-12
     )
 
 
@@ -235,8 +241,8 @@ def test_mix_commutes_exactly(seed):
     n = int(rng.integers(2, 10))
     ga = graph_from_dense(random_similarity(rng, n, density=0.5).values)
     gb = graph_from_dense(random_similarity(rng, n, density=0.5).values)
-    ab = mix_graphs(ga, gb).to_dense()
-    ba = mix_graphs(gb, ga).to_dense()
+    ab = mix_graphs(ga, gb).adjacency.toarray()
+    ba = mix_graphs(gb, ga).adjacency.toarray()
     np.testing.assert_array_equal(ab, ba)
 
 
@@ -270,7 +276,7 @@ def test_graph_round_trip_exact(tmp_path):
     path = tmp_path / "g.graph"
     save_graph(g, path)
     loaded = load_graph(path)
-    np.testing.assert_array_equal(loaded.to_dense(), g.to_dense())
+    np.testing.assert_array_equal(loaded.adjacency.toarray(), g.adjacency.toarray())
 
 
 def test_triplet_header_counts_upper_pairs(tmp_path):
@@ -292,7 +298,7 @@ def test_triplet_header_counts_upper_pairs(tmp_path):
         ("2 1\n0 1 1.5\n", "outside"),
         ("3 2\n0 1 0.5\n0 1 0.5\n", "duplicate"),
         ("2 2\n0 1 0.5\n", "promised"),
-        ("100000000 1\n0 1 0.5\n", "does not fit in memory"),
+        ("2147483648 1\n0 1 0.5\n", "does not fit in memory"),
         ("3037000500 1\n0 1 0.5\n", "does not fit in memory"),
         ("99999999999999999999999 1\n0 1 0.5\n", "does not fit in memory"),
     ],
@@ -302,3 +308,353 @@ def test_load_similarity_rejects_malformed(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(InputError, match=message):
         load_similarity(path)
+
+
+def test_load_similarity_large_header_stays_sparse(tmp_path):
+    # a dense 400000 x 400000 matrix would need 1.2 TB
+    path = tmp_path / "wide.sim"
+    path.write_text("400000 1\n0 1 0.5\n")
+    loaded = load_similarity(path)
+    assert loaded.n == 400_000
+    assert loaded.csr.nnz == 2
+    assert loaded.csr[0, 1] == loaded.csr[1, 0] == 0.5
+
+
+# --------------------------------------------------------------- loader contract
+# Where the CSR loader differs from the line-by-line dense loader it replaced.
+
+
+def test_load_similarity_rejects_any_repeated_pair(tmp_path):
+    # the dense loader only caught a repeat of a nonzero pair
+    path = tmp_path / "m.sim"
+    path.write_text("3 2\n0 1 0.0\n0 1 0.5\n")
+    with pytest.raises(InputError, match=rf"{path}:3: duplicate pair \(0, 1\)"):
+        load_similarity(path)
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["0 1_0 0.5", "0 1 0.2_5", "0 ٣ 0.5", "0 1 ٠.٥"],
+    ids=["underscore-index", "underscore-value", "arabic-index", "arabic-value"],
+)
+def test_load_similarity_rejects_underscores_and_non_ascii_digits(tmp_path, body):
+    # Python's int() and float() read these; the file format does not
+    path = tmp_path / "m.sim"
+    path.write_text(f"11 1\n{body}\n", encoding="utf-8")
+    with pytest.raises(InputError, match=rf"{path}:2: expected 'i j value'"):
+        load_similarity(path)
+
+
+def test_load_similarity_zero_triplet_is_no_edge(tmp_path):
+    path = tmp_path / "m.sim"
+    path.write_text("3 2\n0 1 0.0\n1 2 0.5\n")
+    loaded = load_similarity(path)
+    assert loaded.csr.nnz == 2
+    np.testing.assert_array_equal(
+        loaded.values, [[0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.5, 0.0]]
+    )
+
+
+@pytest.mark.parametrize("body", ["", "\n \n\t\n"])
+def test_load_similarity_empty_body_loads_without_warning(tmp_path, body):
+    path = tmp_path / "m.sim"
+    path.write_text(f"3 0\n{body}")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        loaded = load_similarity(path)
+    assert caught == []
+    assert loaded.n == 3 and loaded.csr.nnz == 0
+
+
+def test_load_similarity_memory_error_is_input_error(tmp_path, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "loadtxt", no_memory)
+    path = tmp_path / "m.sim"
+    path.write_text("3 1\n0 1 0.5\n")
+    with pytest.raises(InputError, match="does not fit in memory"):
+        load_similarity(path)
+
+
+def test_matrix_is_canonical_csr():
+    m = SimilarityMatrix(sp.csr_matrix(([0.5, 0.0, 0.5], ([1, 0, 0], [0, 2, 1])), shape=(3, 3)))
+    assert m.csr.has_canonical_format
+    assert m.csr.nnz == 2 and np.all(m.csr.data > 0.0)
+    np.testing.assert_array_equal(m.values, [[0.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+
+# --------------------------------------------------------------- dense references
+# The dense loader, kernel and kNN that the CSR graph stage replaced. The
+# equivalence tests below require the CSR versions to agree with them bit
+# for bit.
+
+
+def reference_load_similarity(path) -> np.ndarray:
+    """The line-by-line loader into a dense n x n array."""
+    path = Path(path)
+    with path.open() as fh:
+        header = fh.readline().split()
+        if len(header) != 2:
+            raise InputError(f"{path}: malformed header, expected 'n nnz'")
+        try:
+            n, nnz = int(header[0]), int(header[1])
+        except ValueError as exc:
+            raise InputError(f"{path}: malformed header, expected 'n nnz'") from exc
+        if n < 1 or nnz < 0:
+            raise InputError(f"{path}: header values out of range")
+        values = np.zeros((n, n))
+        seen = 0
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            parts = line.split()
+            if len(parts) != 3:
+                raise InputError(f"{path}:{lineno}: expected 'i j value'")
+            try:
+                i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
+            except ValueError as exc:
+                raise InputError(f"{path}:{lineno}: expected 'i j value'") from exc
+            if not (0 <= i < j < n):
+                raise InputError(f"{path}:{lineno}: indices must satisfy 0 <= i < j < n")
+            if not np.isfinite(v) or v < 0.0 or v > 1.0:
+                raise InputError(f"{path}:{lineno}: value outside [0, 1]")
+            if values[i, j] != 0.0:
+                raise InputError(f"{path}:{lineno}: duplicate pair ({i}, {j})")
+            values[i, j] = values[j, i] = v
+            seen += 1
+    if seen != nnz:
+        raise InputError(f"{path}: header promised {nnz} entries, found {seen}")
+    return values
+
+
+def reference_gaussian_affinity(values: np.ndarray, sigma2=None) -> np.ndarray:
+    mask = values > 0.0
+    if sigma2 is None:
+        if not mask.any():
+            raise InputError("cannot infer sigma2 from a matrix with no nonzero entries")
+        sigma2 = float(np.mean(values[mask] ** 2))
+    out = np.zeros_like(values)
+    out[mask] = np.exp(-(values[mask] ** 2) / sigma2)
+    return out
+
+
+def reference_knn_sparsify(values: np.ndarray, k: int) -> sp.csr_matrix:
+    """Stable argsort of every full row; the lower index wins ties."""
+    n = values.shape[0]
+    values = values.copy()
+    np.fill_diagonal(values, -1.0)
+    order = np.argsort(-values, axis=1, kind="stable")[:, :k]
+    rows = np.repeat(np.arange(n), k)
+    cols = order.ravel()
+    vals = values[rows, cols]
+    keep = vals > 0.0
+    directed = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n))
+    return SimilarityGraph(directed.maximum(directed.T)).adjacency
+
+
+# --------------------------------------------------------------- equivalence
+
+LEVELS = (0.05, 0.3, 0.5, 0.8, 1.0)
+
+
+@st.composite
+def tie_heavy_matrices(draw):
+    """Symmetric matrices over a few value levels, so that exact ties at the
+    k-th neighbor are common; row degrees fall below, at and above k."""
+    n = draw(st.integers(2, 14))
+    levels = draw(st.lists(st.sampled_from(LEVELS), min_size=1, max_size=3, unique=True))
+    zeros = draw(st.integers(0, 3))
+    upper = draw(
+        st.lists(
+            st.sampled_from((0.0,) * zeros + tuple(levels)),
+            min_size=n * (n - 1) // 2,
+            max_size=n * (n - 1) // 2,
+        )
+    )
+    values = np.zeros((n, n))
+    values[np.triu_indices(n, 1)] = upper
+    values += values.T
+    k = draw(st.integers(1, n - 1))
+    return values, k
+
+
+@pytest.mark.parametrize("kernel", [False, True], ids=["raw", "kernel"])
+@given(case=tie_heavy_matrices(), sigma2=st.sampled_from([None, 0.3]))
+@example(
+    # node 0 has degree 4 > k, node 1 degree 2 = k, node 4 degree 1 < k;
+    # node 0's k-th neighbor value 0.5 is shared by nodes 2, 3 and 4
+    case=(
+        np.array(
+            [
+                [0.0, 0.8, 0.5, 0.5, 0.5],
+                [0.8, 0.0, 0.0, 0.3, 0.0],
+                [0.5, 0.0, 0.0, 0.5, 0.0],
+                [0.5, 0.3, 0.5, 0.0, 0.0],
+                [0.5, 0.0, 0.0, 0.0, 0.0],
+            ]
+        ),
+        2,
+    ),
+    sigma2=None,
+)
+@settings(max_examples=300, deadline=None)
+def test_knn_graph_matches_dense_reference(kernel, case, sigma2):
+    values, k = case
+    matrix, expected = SimilarityMatrix(values), values
+    if kernel:
+        if sigma2 is None and not values.any():
+            with pytest.raises(InputError, match="sigma2"):
+                gaussian_affinity(matrix)
+            return
+        matrix = gaussian_affinity(matrix, sigma2=sigma2)
+        expected = reference_gaussian_affinity(values, sigma2=sigma2)
+        np.testing.assert_array_equal(matrix.values, expected)
+    assert matrix.csr.has_canonical_format and np.all(matrix.csr.data > 0.0)
+    got = knn_sparsify(matrix, k).adjacency
+    want = reference_knn_sparsify(expected, k)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, part), getattr(want, part)), part
+
+
+def test_kernel_underflow_drops_the_pair():
+    # exp(-1000) underflows to 0: that pair has no affinity, as in the
+    # dense kernel, and the input keeps its entries
+    m = sym([[0.0, 1.0, 0.0], [0.0, 0.0, 0.01], [0.0, 0.0, 0.0]])
+    out = gaussian_affinity(m, sigma2=1e-3)
+    assert m.csr.nnz == 4
+    assert out.csr.nnz == 2
+    np.testing.assert_array_equal(out.values, reference_gaussian_affinity(m.values, 1e-3))
+
+
+# Body tokens are mostly well-formed; the rest are spellings on which
+# Python's int()/float() and the file format disagree, or plain garbage.
+ODD_INDICES = st.sampled_from(["-1", "+1", "01", "-0", "1.0", "1e0", "1_0", "٣", "x"])
+ODD_VALUES = st.sampled_from(
+    ["nan", "inf", "-0.0", "1.5", "1e-1", ".5", "5.", "+.5", "0x1p-1", "0.2_5", "٠.5", "x"]
+)
+VALUES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)).map(repr)
+SEPARATORS = st.sampled_from([" ", "  ", "\t", "\x0c", "\xa0"])
+
+
+def _often(draw, common, rare):
+    """Draw from common nine times in ten."""
+    return draw(rare if draw(st.integers(0, 9)) == 0 else common)
+
+
+@st.composite
+def triplet_files(draw):
+    n = draw(st.integers(2, 6))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t", "\x0b"])))
+        elif kind == 1:
+            lines.append(" ".join(draw(st.lists(VALUES, max_size=4))))
+        else:
+            i = draw(st.integers(0, n - 2))
+            pair = st.tuples(st.just(str(i)), st.integers(i + 1, n - 1).map(str))
+            odd_pair = st.tuples(
+                st.one_of(st.integers(0, n).map(str), ODD_INDICES),
+                st.one_of(st.integers(0, n).map(str), ODD_INDICES),
+            )
+            tokens = [*_often(draw, pair, odd_pair), _often(draw, VALUES, ODD_VALUES)]
+            lines.append(draw(SEPARATORS).join(tokens))
+    data_lines = sum(1 for line in lines if line.strip())
+    nnz = _often(draw, st.just(data_lines), st.integers(0, 8))
+    header = _often(draw, st.just(f"{n} {nnz}"), st.sampled_from(["0 0", f"{n}", "x 1"]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join([header, *lines]) + draw(st.sampled_from(["", end]))
+
+
+def contract_change(text: str) -> bool:
+    """A body that the CSR loader rejects on purpose and the dense loader
+    took: a token with an underscore or a non-ASCII character, or a pair
+    given twice (the dense loader caught only a repeat of a nonzero pair)."""
+    pairs = set()
+    for line in text.replace("\r\n", "\n").split("\n")[1:]:
+        parts = line.split()
+        if any("_" in part or not part.isascii() for part in parts):
+            return True
+        try:
+            pair = (int(parts[0]), int(parts[1]))
+        except (IndexError, ValueError):
+            continue
+        if pair in pairs:
+            return True
+        pairs.add(pair)
+    return False
+
+
+@given(text=triplet_files())
+@settings(max_examples=1500, deadline=None)
+def test_loader_matches_line_loop_reference(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "m.sim"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        expected = reference_load_similarity(path)
+    except InputError as exc:
+        expected = exc
+    if isinstance(expected, InputError) or contract_change(text):
+        with pytest.raises(InputError) as caught:
+            load_similarity(path)
+        assert str(path) in str(caught.value)
+        if isinstance(expected, InputError) and not contract_change(text):
+            assert str(caught.value) == str(expected)
+    else:
+        loaded = load_similarity(path)
+        assert loaded.csr.has_canonical_format and np.all(loaded.csr.data > 0.0)
+        np.testing.assert_array_equal(loaded.values, expected)
+
+
+# --------------------------------------------------------------- scaling
+
+
+def _ring_similarity(rng, n: int, per_row: int) -> SimilarityMatrix:
+    """per_row nonzeros in every row: page i links to i +- d for per_row / 2
+    distinct offsets d."""
+    offsets = rng.choice(np.arange(1, n // 2), size=per_row // 2, replace=False)
+    rows = np.repeat(np.arange(n), len(offsets))
+    cols = (rows + np.tile(offsets, n)) % n
+    upper = sp.csr_matrix((rng.uniform(0.05, 1.0, len(rows)), (rows, cols)), shape=(n, n))
+    return SimilarityMatrix(upper + upper.T)
+
+
+def test_graph_stage_scales_linearly_in_nonzeros(tmp_path):
+    """Load, kernel, kNN and mix from triplet files: time and memory grow
+    with nnz, not n^2 (one dense 20000 x 20000 matrix is 3.2 GB)."""
+    rng = np.random.default_rng(7)
+    config = PipelineConfig()
+    sizes = (5_000, 10_000, 20_000)
+    files, nnz = {}, {}
+    for n in sizes:
+        files[n] = []
+        for side in ("vis", "txt"):
+            matrix = _ring_similarity(rng, n, per_row=30)
+            save_similarity(matrix, tmp_path / f"{side}{n}.sim")
+            files[n].append(tmp_path / f"{side}{n}.sim")
+        nnz[n] = 2 * matrix.csr.nnz
+
+    def build(n):
+        return build_mixed_graph(config, *(load_similarity(p) for p in files[n]))
+
+    peak = {}
+    for n in sizes:
+        tracemalloc.start()
+        build(n)
+        peak[n] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    best = {n: float("inf") for n in sizes}
+    for _ in range(3):
+        # sizes take turns within a round, so machine-speed drift hits each
+        for n in sizes:
+            start = time.perf_counter()
+            build(n)
+            best[n] = min(best[n], time.perf_counter() - start)
+
+    x = np.log([nnz[n] for n in sizes])
+    time_slope = np.polyfit(x, np.log([best[n] for n in sizes]), 1)[0]
+    memory_slope = np.polyfit(x, np.log([peak[n] for n in sizes]), 1)[0]
+    assert time_slope <= 1.3, (time_slope, best)
+    assert memory_slope <= 1.3, (memory_slope, peak)

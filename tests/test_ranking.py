@@ -169,7 +169,7 @@ def reference_fit(g, candidates, max_iter, tol):
     replaced. Returns the iterates and the log-likelihood function."""
     if not candidates:
         raise InputError("no candidates to weight")
-    dense = g.to_dense()
+    dense = g.adjacency.toarray()
     pair_index = {}
     cand_rows = []
     for cand in candidates:
