@@ -61,8 +61,10 @@ def bundle(
             if consumed[j]:
                 continue
             other = items[j].members
-            # Overlap is measured against the growing union, not the seed.
-            if len(union & other) / len(union | other) >= tau:
+            # Overlap is measured against the growing union, not the seed;
+            # as in nms_dedupe, |union| + |other| - inter is |union | other|.
+            inter = len(union & other)
+            if inter / (len(union) + len(other) - inter) >= tau:
                 union |= other
                 sources.append(ranked.indices[j])
                 consumed[j] = True

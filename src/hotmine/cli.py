@@ -20,6 +20,7 @@ the same keys first, and explicit flags override the file. Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -42,8 +43,6 @@ from .pipeline import (
 )
 from .synth import SyntheticScenario, generate_synthetic
 
-_CONFIG_FIELDS = tuple(PipelineConfig.__dataclass_fields__)
-
 
 def _load_config_file(path: str) -> PipelineConfig:
     try:
@@ -58,35 +57,18 @@ def _load_config_file(path: str) -> PipelineConfig:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, base: PipelineConfig) -> None:
+    """One flag per PipelineConfig field, defaulting to base; its type comes
+    from the field's class default, never from a --config value."""
     g = parser.add_argument_group("pipeline config")
-    g.add_argument("--knn-txt", type=int, default=base.knn_txt)
-    g.add_argument("--knn-vis", type=int, default=base.knn_vis)
-    g.add_argument("--sigma2-affinity", type=float, default=base.sigma2_affinity)
-    g.add_argument(
-        "--apply-kernel",
-        action=argparse.BooleanOptionalAction,
-        default=base.apply_kernel,
-        help="apply the distance-to-affinity kernel (--no-apply-kernel for "
-        "inputs that already are affinities)",
-    )
-    g.add_argument(
-        "--cascade-thresholds",
-        type=_list_of(float),
-        default=base.cascade_thresholds,
-        metavar="T1,T2,...",
-    )
-    g.add_argument("--window", type=int, default=base.window)
-    g.add_argument("--tau", type=float, default=base.tau)
-    g.add_argument("--nms-thresh", type=float, default=base.nms_thresh)
-    g.add_argument("--alpha", type=float, default=base.alpha)
-    g.add_argument("--sigma-dissim", type=float, default=base.sigma_dissim)
-    g.add_argument("--lam", type=float, default=base.lam)
-    g.add_argument("--margin", type=float, default=base.margin)
-    g.add_argument("--pd-max-iter", type=int, default=base.pd_max_iter)
-    g.add_argument("--pd-tol", type=float, default=base.pd_tol)
-    g.add_argument("--pr-tol", type=float, default=base.pr_tol)
-    g.add_argument("--pr-max-iter", type=int, default=base.pr_max_iter)
-    g.add_argument("--seed", type=int, default=base.seed)
+    for field in dataclasses.fields(PipelineConfig):
+        flag, default = "--" + field.name.replace("_", "-"), getattr(base, field.name)
+        if isinstance(field.default, bool):
+            g.add_argument(flag, action=argparse.BooleanOptionalAction, default=default)
+        elif isinstance(field.default, tuple):
+            g.add_argument(flag, type=_list_of(float), default=default, metavar="T1,T2,...")
+        else:
+            kind = float if field.default is None else type(field.default)
+            g.add_argument(flag, type=kind, default=default)
 
 
 def _list_of(kind: type):
@@ -104,7 +86,8 @@ def _list_of(kind: type):
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    return PipelineConfig(**{name: getattr(args, name) for name in _CONFIG_FIELDS})
+    names = [field.name for field in dataclasses.fields(PipelineConfig)]
+    return PipelineConfig(**{name: getattr(args, name) for name in names})
 
 
 def _build_parser(base: PipelineConfig) -> argparse.ArgumentParser:

@@ -12,12 +12,19 @@ Two complementary views:
   list, a detection succeeds when its intersection ratio against some
   still unmatched truth topic exceeds 0.5 strictly; accuracy is successes
   over the truth count and FPPT is false positives so far per success.
+
+Each curve takes one matching walk over the ranked list (F1 or NIR as the
+score) and one pass over its results, so evaluation costs detections x
+truth topics.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import neg
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -84,29 +91,33 @@ def nir(detected, truth) -> float:
     return len(d & g) / len(d | g)
 
 
-def _match_f1_scores(
-    detections: Sequence[frozenset[int]], truth: GroundTruth
-) -> list[float]:
-    """Per-detection F1 after greedy rank-order matching.
+def _match(
+    ranked_detections: Sequence, truth: GroundTruth, score, threshold: float
+) -> list[tuple[float, bool]]:
+    """Greedy rank-order matching: (best score, consumed) per detection.
 
-    Each truth topic can be matched once; a detection with zero F1 against
-    every unmatched topic stays unmatched (scoring 0) instead of wasting a
-    truth topic.
+    Each detection is scored against the still unmatched truth topics; only
+    a strictly higher score replaces the best so far, so ties go to the
+    lower index. The best topic is consumed only if its score exceeds
+    threshold; otherwise the detection leaves every topic free.
     """
+    detections = [_as_set(d) for d in ranked_detections]
+    if not detections:
+        raise InputError("no detections to evaluate")
     used: set[int] = set()
-    scores: list[float] = []
+    matches: list[tuple[float, bool]] = []
     for det in detections:
-        best_f1, best_gi = 0.0, None
+        best, best_gi = 0.0, None
         for gi, topic in enumerate(truth.topics):
             if gi in used:
                 continue
-            score = f1(det, topic)
-            if score > best_f1:
-                best_f1, best_gi = score, gi
-        if best_gi is not None:
+            s = score(det, topic)
+            if s > best:
+                best, best_gi = s, gi
+        if best > threshold:
             used.add(best_gi)
-        scores.append(best_f1)
-    return scores
+        matches.append((best, best > threshold))
+    return matches
 
 
 def top10_f1_vs_ndt(
@@ -115,14 +126,16 @@ def top10_f1_vs_ndt(
     """Curve of mean top-10 F1 for each detection-count cutoff 1..max_ndt."""
     if max_ndt < 1:
         raise InputError("max_ndt must be >= 1")
-    detections = [_as_set(d) for d in ranked_detections]
-    if not detections:
-        raise InputError("no detections to evaluate")
-    scores = _match_f1_scores(detections, truth)
+    scores = [s for s, _ in _match(ranked_detections, truth, f1, 0.0)]
+    # the <= TOP_K best scores so far, kept and summed in descending order:
+    # the same floats as sorting every prefix
+    top: list[float] = []
     curve: list[tuple[int, float]] = []
     for ndt in range(1, max_ndt + 1):
-        window = sorted(scores[:ndt], reverse=True)[:TOP_K]
-        curve.append((ndt, sum(window) / TOP_K))
+        if ndt <= len(scores):
+            insort(top, scores[ndt - 1], key=neg)
+            del top[TOP_K:]
+        curve.append((ndt, sum(top) / TOP_K))
     return curve
 
 
@@ -137,38 +150,17 @@ def accuracy_vs_fppt(
     still unmatched truth topic exceeds 0.5 strictly; anything else is a
     false positive. Failed detections consume no truth topic.
     """
-    detections = [_as_set(d) for d in ranked_detections]
-    if not detections:
-        raise InputError("no detections to evaluate")
-    used: set[int] = set()
-    successes = 0
-    false_positives = 0
-    points: list[tuple[float, float]] = []
-    for det in detections:
-        best_nir, best_gi = 0.0, None
-        for gi, topic in enumerate(truth.topics):
-            if gi in used:
-                continue
-            score = nir(det, topic)
-            if score > best_nir:
-                best_nir, best_gi = score, gi
-        if best_gi is not None and best_nir > NIR_SUCCESS_THRESHOLD:
-            used.add(best_gi)
-            successes += 1
-        else:
-            false_positives += 1
-        points.append(
-            (false_positives / max(1, successes), successes / len(truth.topics))
-        )
-    top = max_fppt if max_fppt is not None else int(math.ceil(points[-1][0]))
-    curve: list[tuple[int, float]] = []
-    for budget in range(top + 1):
-        best = 0.0
-        for x, y in points:
-            if x <= budget:
-                best = max(best, y)
-        curve.append((budget, best))
-    return curve
+    matches = _match(ranked_detections, truth, nir, NIR_SUCCESS_THRESHOLD)
+    # a point at FPPT x fits an integer budget b exactly when ceil(x) <= b:
+    # keep the best accuracy per ceil(x), then take a running max over b
+    successes, fppt, best = 0, 0.0, {}
+    for k, (_, consumed) in enumerate(matches, start=1):
+        successes += consumed
+        fppt = (k - successes) / max(1, successes)
+        bucket = math.ceil(fppt)
+        best[bucket] = max(best.get(bucket, 0.0), successes / len(truth.topics))
+    top = max_fppt if max_fppt is not None else math.ceil(fppt)
+    return list(enumerate(accumulate((best.get(b, 0.0) for b in range(top + 1)), max)))
 
 
 def evaluate(

@@ -242,8 +242,7 @@ def run_br(
 
 def write_detections(result: PipelineResult, path: str | Path) -> None:
     """Refined topics in the candidate line format, rank order."""
-    rows = [TopicCandidate(det.members) for det in result.detections]
-    save_candidates(rows, path, header=[f"stage: {result.stage}"])
+    save_candidates(result.detections, path, header=[f"stage: {result.stage}"])
 
 
 def provenance_dict(result: PipelineResult) -> dict:

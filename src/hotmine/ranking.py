@@ -56,9 +56,6 @@ class RankedTopicList:
     def __len__(self) -> int:
         return len(self.items)
 
-    def member_sets(self) -> list[frozenset[int]]:
-        return [item.members for item in self.items]
-
 
 class _Coverage:
     """Covered-edge view of a candidate list against a graph."""
@@ -150,20 +147,27 @@ def estimate_weights(
 
     Raises ConvergenceError when the largest relative change has not fallen
     below tol within max_iter updates: ranking on an unfinished fit would
-    pass for a converged one.
+    pass for a converged one. The message names the candidate whose weight
+    still changed the most, relative to itself, in the last update.
     """
     if max_iter < 1:
         raise InputError(f"max_iter must be >= 1, got {max_iter}")
     # One spare update tells a fit that converged on its last allowed step
     # (the generator stops) from one that did not (it yields once more).
+    prev = None
     for step, mu in enumerate(
         iterate_weights(g, candidates, max_iter=max_iter + 1, tol=tol), start=1
     ):
         if step > max_iter:
+            change = np.abs(mu - prev) / np.maximum(prev, MEAN_GUARD)
+            k = int(np.argmax(change))
             raise ConvergenceError(
                 f"weight estimation did not converge within {max_iter} "
-                f"iterations (tol={tol})"
+                f"iterations (tol={tol}); slowest: candidate {k} "
+                f"(size {candidates[k].size}, weight {prev[k]:.3g}, "
+                f"last relative change {change[k]:.3g})"
             )
+        prev = mu
     return mu
 
 

@@ -130,6 +130,52 @@ def test_bundle_rejects_bad_params(window, tau, msg):
         bundle(ranked, window=window, tau=tau)
 
 
+# pages 0-15 make most pairs of topics share pages, and ratios such as
+# 1/3, 2/5, 1/2 and 2/3 come up often enough to land exactly on a threshold
+crowded_sets = st.lists(
+    st.frozensets(st.integers(0, 15), min_size=1, max_size=10), max_size=40
+)
+
+
+def reference_bundle(ranked, window, tau):
+    """The window scan that builds each union set to take its size."""
+    items = ranked.items
+    consumed = [False] * len(items)
+    out = []
+    for k in range(len(items)):
+        if consumed[k]:
+            continue
+        union = set(items[k].members)
+        sources = [ranked.indices[k]]
+        for j in range(k + 1, min(len(items), k + window + 1)):
+            if consumed[j]:
+                continue
+            other = items[j].members
+            if len(union & other) / len(union | other) >= tau:
+                union |= other
+                sources.append(ranked.indices[j])
+                consumed[j] = True
+        out.append(CoarseTopic(frozenset(union), tuple(sources), rank=k))
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    crowded_sets,
+    st.integers(0, 40),
+    st.one_of(
+        st.sampled_from([1.0 / 3.0, 0.4, 0.5, 2.0 / 3.0, 1.0]),
+        st.floats(0.0, 1.0, exclude_min=True),
+    ),
+)
+@example([{1, 2}, {2, 3}], 1, 1.0 / 3.0)  # |a & b| / |a | b| == tau
+@example([{1, 2, 3}, {1, 2, 3, 4, 5}, {4, 5, 6}], 2, 0.6)
+@example([{1, 2}, {1, 2}, {1}], 2, 1.0)
+def test_bundle_matches_union_set_scan(sets, window, tau):
+    ranked = ranked_from_sets(sets)
+    assert bundle(ranked, window=window, tau=tau) == reference_bundle(ranked, window, tau)
+
+
 # --------------------------------------------------------------- NMS
 
 
@@ -185,11 +231,6 @@ def reference_nms(coarse, overlap_thresh):
     return kept
 
 
-# pages 0-15 make most pairs of topics share pages, and ratios such as
-# 1/3, 2/5, 1/2 and 2/3 come up often enough to land exactly on a threshold
-crowded_sets = st.lists(
-    st.frozensets(st.integers(0, 15), min_size=1, max_size=10), max_size=40
-)
 thresholds = st.one_of(
     st.sampled_from([1.0 / 3.0, 0.4, 0.5, 2.0 / 3.0]),
     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),

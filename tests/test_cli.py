@@ -1,5 +1,6 @@
 """Command-line interface: stage chain, config plumbing, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import hotmine
-from hotmine.cli import main
+from hotmine.cli import _build_parser, _config_from_args, main
+from hotmine.pipeline import PipelineConfig
 
 COMMON = ["--no-apply-kernel", "--knn-txt", "20", "--knn-vis", "8", "--tau", "0.2"]
 
@@ -188,6 +190,51 @@ def test_oracle_subcommand_reports_passes(capsys):
     assert "monotonicity:" in out
     assert "12/12 checks passed" in out
     assert "FAIL" not in out
+
+
+# one non-default value per PipelineConfig field, as argv and as parsed
+FLAG_VALUES = {
+    "knn_txt": (["--knn-txt", "7"], 7),
+    "knn_vis": (["--knn-vis", "3"], 3),
+    "sigma2_affinity": (["--sigma2-affinity", "0.25"], 0.25),
+    "apply_kernel": (["--no-apply-kernel"], False),
+    "cascade_thresholds": (["--cascade-thresholds", "0.2,0.7"], (0.2, 0.7)),
+    "window": (["--window", "5"], 5),
+    "tau": (["--tau", "0.3"], 0.3),
+    "nms_thresh": (["--nms-thresh", "0.6"], 0.6),
+    "alpha": (["--alpha", "0.5"], 0.5),
+    "sigma_dissim": (["--sigma-dissim", "3.5"], 3.5),
+    "lam": (["--lam", "2.5"], 2.5),
+    "margin": (["--margin", "0.2"], 0.2),
+    "pd_max_iter": (["--pd-max-iter", "50"], 50),
+    "pd_tol": (["--pd-tol", "1e-4"], 1e-4),
+    "pr_tol": (["--pr-tol", "1e-7"], 1e-7),
+    "pr_max_iter": (["--pr-max-iter", "30"], 30),
+    "seed": (["--seed", "9"], 9),
+}
+
+
+def parse_config(base, *flags):
+    argv = ["graph", "--vis", "v.sim", "--txt", "t.sim", "--out", "g.txt", *flags]
+    return _config_from_args(_build_parser(base).parse_args(argv))
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PipelineConfig)])
+def test_each_config_field_has_a_flag(name):
+    argv, value = FLAG_VALUES[name]
+    config = parse_config(PipelineConfig(), *argv)
+    assert getattr(config, name) == value
+    assert type(getattr(config, name)) is type(value)
+    assert config == dataclasses.replace(PipelineConfig(), **{name: value})
+
+
+def test_flag_types_do_not_follow_config_file_values():
+    # a config file may give an int where the field holds a float; the flag
+    # still parses a float, and no flag's default changes its type
+    base = PipelineConfig(sigma2_affinity=2, apply_kernel=False)
+    assert parse_config(base) == base
+    assert parse_config(base, "--sigma2-affinity", "0.5").sigma2_affinity == 0.5
+    assert parse_config(base, "--apply-kernel").apply_kernel is True
 
 
 # ------------------------------------------------------------- failures

@@ -1,13 +1,17 @@
 """Detection metrics: F1/NIR, top-10 F1 curve, accuracy-FPPT curve."""
 
+import math
+import time
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hotmine.candidates import TopicCandidate
 from hotmine.errors import InputError
 from hotmine.evaluation import (
+    TOP_K,
     GroundTruth,
     accuracy_vs_fppt,
     evaluate,
@@ -303,3 +307,149 @@ def test_curve_csv_values_parse_back(tmp_path):
     rows = path.read_text().strip().splitlines()[1:]
     parsed = [tuple(float(v) for v in row.split(",")) for row in rows]
     assert parsed == [(x, pytest.approx(y)) for x, y in report.top10_f1_curve]
+
+
+# ------------------------------------------------------------ reference walk
+
+
+def reference_match_f1_scores(detections, truth):
+    """The F1 matcher the one-walk curves replaced."""
+    used = set()
+    scores = []
+    for det in detections:
+        best_f1, best_gi = 0.0, None
+        for gi, topic in enumerate(truth.topics):
+            if gi in used:
+                continue
+            score = f1(det, topic)
+            if score > best_f1:
+                best_f1, best_gi = score, gi
+        if best_gi is not None:
+            used.add(best_gi)
+        scores.append(best_f1)
+    return scores
+
+
+def reference_top10_f1_vs_ndt(detections, truth, max_ndt):
+    """Re-sorts every prefix of the scores."""
+    scores = reference_match_f1_scores([frozenset(d) for d in detections], truth)
+    return [
+        (ndt, sum(sorted(scores[:ndt], reverse=True)[:TOP_K]) / TOP_K)
+        for ndt in range(1, max_ndt + 1)
+    ]
+
+
+def reference_accuracy_vs_fppt(detections, truth, max_fppt=None):
+    """Rescans every point for each integer budget."""
+    used = set()
+    successes = 0
+    false_positives = 0
+    points = []
+    for det in detections:
+        best_nir, best_gi = 0.0, None
+        for gi, topic in enumerate(truth.topics):
+            if gi in used:
+                continue
+            score = nir(det, topic)
+            if score > best_nir:
+                best_nir, best_gi = score, gi
+        if best_gi is not None and best_nir > 0.5:
+            used.add(best_gi)
+            successes += 1
+        else:
+            false_positives += 1
+        points.append(
+            (false_positives / max(1, successes), successes / len(truth.topics))
+        )
+    top = max_fppt if max_fppt is not None else int(math.ceil(points[-1][0]))
+    curve = []
+    for budget in range(top + 1):
+        best = 0.0
+        for x, y in points:
+            if x <= budget:
+                best = max(best, y)
+        curve.append((budget, best))
+    return curve
+
+
+# pages 0-11 make overlaps, ties and NIR of exactly 0.5 common; detections
+# drawn from a short pool repeat each other
+small_sets = st.frozensets(st.integers(0, 11), min_size=1, max_size=6)
+
+
+@st.composite
+def walk_cases(draw):
+    truth = GroundTruth(tuple(draw(st.lists(small_sets, min_size=1, max_size=5))), n=12)
+    pool = draw(st.lists(small_sets, min_size=1, max_size=6))
+    detections = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    walk = len(detections)
+    max_ndt = draw(st.one_of(st.none(), st.integers(1, walk + 12)))
+    max_fppt = draw(st.one_of(
+        st.none(), st.sampled_from([-1, 0, walk + 1]), st.integers(-2, walk + 3)
+    ))
+    return detections, truth, max_ndt, max_fppt
+
+
+def assert_same_curve(got, want):
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+@settings(max_examples=500, deadline=None)
+@given(walk_cases())
+# NIR exactly 0.5 is a failure, and the detection behind it consumes nothing
+@example((
+    [frozenset({1, 2, 3}), frozenset({2, 3, 4})],
+    GroundTruth((frozenset({2, 3, 4}),), n=12),
+    None,
+    None,
+))
+# an all-zero prefix, then duplicates of one detection
+@example((
+    [frozenset({9}), frozenset({10}), frozenset({0, 1}), frozenset({0, 1})],
+    GroundTruth((frozenset({0, 1}), frozenset({0, 1, 2})), n=12),
+    2,
+    0,
+))
+def test_curves_match_the_reference_walk(case):
+    detections, truth, max_ndt, max_fppt = case
+    ndt_cap = max_ndt if max_ndt is not None else max(len(detections), TOP_K)
+    want_f1 = reference_top10_f1_vs_ndt(detections, truth, ndt_cap)
+    want_acc = reference_accuracy_vs_fppt(detections, truth, max_fppt)
+    assert_same_curve(top10_f1_vs_ndt(detections, truth, ndt_cap), want_f1)
+    assert_same_curve(accuracy_vs_fppt(detections, truth, max_fppt), want_acc)
+    report = evaluate(detections, truth, max_ndt=max_ndt, max_fppt=max_fppt)
+    assert_same_curve(report.top10_f1_curve, tuple(want_f1))
+    assert_same_curve(report.accuracy_fppt_curve, tuple(want_acc))
+
+
+def test_evaluate_time_scales_linearly_in_detections():
+    rng = np.random.default_rng(13)
+    truth = GroundTruth(blocks(8, size=8), n=100_000)
+    sizes = (3000, 6000, 12000)
+    # four planted topics lead each list, so the walk has successes; the
+    # random 8-page detections after them are false positives, each scored
+    # against the four topics left unmatched
+    inputs = [
+        list(truth.topics[:4])
+        + [frozenset(row.tolist()) for row in rng.integers(0, 100_000, (count - 4, 8))]
+        for count in sizes
+    ]
+    times = [np.inf] * len(sizes)
+    # best of 3 per size; the sizes take turns so that a slow spell of the
+    # machine hits all of them rather than bending the fit
+    for _ in range(3):
+        for k, detections in enumerate(inputs):
+            t0 = time.perf_counter()
+            evaluate(detections, truth)
+            times[k] = min(times[k], time.perf_counter() - t0)
+    xs, ys = np.log(np.asarray(sizes, float)), np.log(np.asarray(times))
+    slope, intercept = np.polyfit(xs, ys, 1)
+    fit = slope * xs + intercept
+    ss_res = float(np.sum((ys - fit) ** 2))
+    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    r_squared = 1.0 - ss_res / ss_tot
+    # re-sorting every prefix and rescanning every point per budget gives a
+    # slope near 2
+    assert slope <= 1.3, f"slope {slope:.3f}, times {times}"
+    assert r_squared >= 0.9, f"R^2 {r_squared:.4f}, times {times}"

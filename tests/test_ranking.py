@@ -277,7 +277,7 @@ def test_rank_ties_keep_input_order():
     apply_weights(cands, np.array([0.3, 0.3, 0.9]))
     ranked = rank(cands)
     assert ranked.indices == [2, 0, 1]
-    assert ranked.member_sets()[0] == frozenset({4, 5})
+    assert ranked.items[0].members == frozenset({4, 5})
 
 
 def test_rank_requires_weights():
@@ -350,3 +350,30 @@ def test_estimate_raises_when_cap_hit():
     np.testing.assert_array_equal(mu, steps[-1])
     with pytest.raises(ConvergenceError, match="did not converge within"):
         estimate_weights(g, cands, max_iter=len(steps) - 1, tol=1e-12)
+
+
+def test_convergence_error_names_the_slowest_candidate():
+    # B = {0, 1} covers only the edge that A = {0, 1, 2} also covers, and
+    # that edge is lighter than A's other two: B's weight shrinks by about
+    # 1.4% per update around step 100, so the fit crawls to B = 0
+    g = pair_graph(3, {(0, 1): 0.8, (0, 2): 0.81, (1, 2): 0.81})
+    cands = [TopicCandidate({0, 1, 2}), TopicCandidate({0, 1})]
+    steps = list(iterate_weights(g, cands, max_iter=10_000))
+    b = np.array([mu[1] for mu in steps])
+    assert np.all(np.diff(b) < 0.0)
+    assert b[100] / b[99] == pytest.approx(0.986, abs=1e-3)
+    # 3861 updates on x86-64
+    assert 500 < len(steps) < 10_000
+    with pytest.raises(ConvergenceError) as exc:
+        estimate_weights(g, cands, max_iter=500)
+    message = str(exc.value)
+    assert message.startswith(
+        "weight estimation did not converge within 500 iterations (tol=1e-06)"
+    )
+    change = (steps[499][1] - steps[500][1]) / steps[499][1]
+    assert (
+        f"candidate 1 (size 2, weight {steps[499][1]:.3g}, "
+        f"last relative change {change:.3g})"
+    ) in message
+    mu = estimate_weights(g, cands, max_iter=len(steps))
+    np.testing.assert_array_equal(mu, steps[-1])
