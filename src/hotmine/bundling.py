@@ -30,11 +30,10 @@ DEFAULT_NMS_THRESH = 0.4
 
 @dataclass(frozen=True)
 class CoarseTopic:
-    """A bundled topic: member union, source candidate indices, seed rank."""
+    """A bundled topic: member union and source candidate indices."""
 
     members: frozenset[int]
     sources: tuple[int, ...]
-    rank: int
 
 
 def bundle(
@@ -68,7 +67,7 @@ def bundle(
                 union |= other
                 sources.append(ranked.indices[j])
                 consumed[j] = True
-        out.append(CoarseTopic(frozenset(union), tuple(sources), rank=k))
+        out.append(CoarseTopic(frozenset(union), tuple(sources)))
     return out
 
 

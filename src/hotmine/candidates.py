@@ -23,13 +23,12 @@ from .graph import SimilarityGraph
 class TopicCandidate:
     """A set of webpage indices, later annotated with a model weight.
 
-    weight is the Poisson deconvolution estimate; interestingness is
-    weight * size. Both start unset and are filled by the ranking stage.
+    weight is the Poisson deconvolution estimate; it starts unset and is
+    filled by the ranking stage. interestingness is weight * size.
     """
 
     members: frozenset[int]
     weight: float | None = None
-    interestingness: float | None = None
 
     def __post_init__(self) -> None:
         members = frozenset(int(m) for m in self.members)
@@ -42,6 +41,10 @@ class TopicCandidate:
     @property
     def size(self) -> int:
         return len(self.members)
+
+    @property
+    def interestingness(self) -> float | None:
+        return None if self.weight is None else self.weight * self.size
 
     def sorted_members(self) -> list[int]:
         return sorted(self.members)

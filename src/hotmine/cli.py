@@ -14,7 +14,8 @@ One subcommand per pipeline stage plus end-to-end drivers:
 
 Every pipeline knob is a flag; `--config FILE` loads a JSON object with
 the same keys first, and explicit flags override the file. Exit codes:
-0 success, 1 bad input (or a failed oracle check), 2 convergence failure.
+0 success, 1 bad input or usage (or a failed oracle check), 2 convergence
+failure.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
 from . import __version__
-from .candidates import cascade_candidates, load_candidates, save_candidates, TopicCandidate
+from .candidates import cascade_candidates, load_candidates, save_candidates
 from .errors import ConvergenceError, InputError
 from .evaluation import EvaluationReport, evaluate, load_ground_truth, write_curves
 from .graph import load_graph, load_similarity, save_graph, save_similarity
@@ -37,11 +39,19 @@ from .pipeline import (
     STAGES,
     PipelineConfig,
     build_mixed_graph,
+    field_type,
     run_br,
     write_detections,
     write_provenance,
 )
 from .synth import SyntheticScenario, generate_synthetic
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InputError (exit 1); exit 2 means non-convergence."""
+
+    def error(self, message: str) -> NoReturn:
+        raise InputError(f"{self.prog}: {message}")
 
 
 def _load_config_file(path: str) -> PipelineConfig:
@@ -62,12 +72,12 @@ def _add_config_flags(parser: argparse.ArgumentParser, base: PipelineConfig) -> 
     g = parser.add_argument_group("pipeline config")
     for field in dataclasses.fields(PipelineConfig):
         flag, default = "--" + field.name.replace("_", "-"), getattr(base, field.name)
-        if isinstance(field.default, bool):
+        kind = field_type(field)
+        if kind is bool:
             g.add_argument(flag, action=argparse.BooleanOptionalAction, default=default)
-        elif isinstance(field.default, tuple):
+        elif kind is tuple:
             g.add_argument(flag, type=_list_of(float), default=default, metavar="T1,T2,...")
         else:
-            kind = float if field.default is None else type(field.default)
             g.add_argument(flag, type=kind, default=default)
 
 
@@ -91,7 +101,7 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _build_parser(base: PipelineConfig) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hotmine",
         description="Mine hot topics from webpage similarity graphs.",
     )
@@ -195,9 +205,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     save_similarity(data.w_vis, out / "vis.sim")
     save_similarity(data.w_txt, out / "txt.sim")
     save_candidates(data.candidates, out / "candidates.txt")
-    save_candidates(
-        [TopicCandidate(t) for t in data.truth.topics], out / "truth.txt"
-    )
+    save_candidates(data.truth.topics, out / "truth.txt")
     for name in ("vis.sim", "txt.sim", "candidates.txt", "truth.txt"):
         print(out / name)
     return 0
@@ -257,14 +265,19 @@ def _emit_report(report: EvaluationReport, stem: Path) -> None:
     print(f"accuracy at FPPT<=5: {report.accuracy_at(5):.4f}")
 
 
-def _write_run_outputs(result, args: argparse.Namespace) -> int:
+def _run_and_write(args: argparse.Namespace, config: PipelineConfig, graph, cands) -> int:
+    """Shared tail of refine and run: truth, run_br, outputs, report."""
+    truth = load_ground_truth(args.truth, n=graph.n) if args.truth else None
+    result = run_br(
+        config, graph, cands, truth=truth, stop_after=args.stop_after, max_fppt=args.max_fppt
+    )
     prefix = Path(args.out_prefix)
-    topics_path = prefix.with_name(prefix.name + "_topics.txt")
-    prov_path = prefix.with_name(prefix.name + "_provenance.json")
-    write_detections(result, topics_path)
-    write_provenance(result, prov_path)
-    print(topics_path)
-    print(prov_path)
+    topics = prefix.with_name(prefix.name + "_topics.txt")
+    provenance = prefix.with_name(prefix.name + "_provenance.json")
+    write_detections(result, topics)
+    write_provenance(result, provenance)
+    print(topics)
+    print(provenance)
     if result.report is not None:
         _emit_report(result.report, prefix)
     return 0
@@ -273,16 +286,7 @@ def _write_run_outputs(result, args: argparse.Namespace) -> int:
 def _cmd_refine(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     graph, cands = _load_graph_inputs(args)
-    truth = load_ground_truth(args.truth, n=graph.n) if args.truth else None
-    result = run_br(
-        config,
-        graph,
-        cands,
-        truth=truth,
-        stop_after=args.stop_after,
-        max_fppt=args.max_fppt,
-    )
-    return _write_run_outputs(result, args)
+    return _run_and_write(args, config, graph, cands)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -294,16 +298,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"similarity matrices disagree on size: {w_vis.n} vs {w_txt.n}"
         )
     cands = load_candidates(args.candidates, n=w_vis.n)
-    truth = load_ground_truth(args.truth, n=w_vis.n) if args.truth else None
-    result = run_br(
-        config,
-        build_mixed_graph(config, w_vis, w_txt),
-        cands,
-        truth=truth,
-        stop_after=args.stop_after,
-        max_fppt=args.max_fppt,
-    )
-    return _write_run_outputs(result, args)
+    return _run_and_write(args, config, build_mixed_graph(config, w_vis, w_txt), cands)
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -319,25 +314,16 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         raise InputError("need at least one instance")
     rng = np.random.default_rng(args.oracle_seed)
     reports = []
-    for i in range(args.instances):
+    for seed in range(args.oracle_seed, args.oracle_seed + args.instances):
         pi, d = sample_instance(rng, args.nodes)
         for lam in (0.5, 1.0, 2.0, 5.0):
-            reports.append(
-                check_submodularity(
-                    pi, d, lam=lam, trials=args.trials, seed=args.oracle_seed + i
-                )
-            )
-        pi_n, d_n = sample_instance(rng, args.nodes, normalize=True)
+            reports.append(check_submodularity(pi, d, lam, args.trials, seed))
+        pi, d = sample_instance(rng, args.nodes, normalize=True)
         for lam in (2.0, 3.0):
-            reports.append(
-                check_monotonicity(
-                    pi_n, d_n, lam=lam, trials=args.trials, seed=args.oracle_seed + i
-                )
-            )
-    failed = 0
+            reports.append(check_monotonicity(pi, d, lam, args.trials, seed))
     for report in reports:
         print(report.summary())
-        failed += 0 if report.passed else 1
+    failed = sum(not report.passed for report in reports)
     print(f"{len(reports) - failed}/{len(reports)} checks passed")
     return 0 if failed == 0 else 1
 
@@ -358,7 +344,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        pre = argparse.ArgumentParser(add_help=False)
+        pre = _Parser(prog="hotmine", add_help=False)
         pre.add_argument("--config")
         known, _ = pre.parse_known_args(argv)
         base = _load_config_file(known.config) if known.config else PipelineConfig()

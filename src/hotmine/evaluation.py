@@ -58,11 +58,7 @@ class EvaluationReport:
     accuracy_fppt_curve: tuple[tuple[int, float], ...]
 
     def accuracy_at(self, fppt: float) -> float:
-        best = 0.0
-        for x, y in self.accuracy_fppt_curve:
-            if x <= fppt:
-                best = max(best, y)
-        return best
+        return max((y for x, y in self.accuracy_fppt_curve if x <= fppt), default=0.0)
 
 
 def _as_set(obj) -> frozenset[int]:

@@ -10,15 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable
 
 import numpy as np
 
 from .errors import InputError
-from .refining import goodness, marginal_gain
+from .interestingness import TopicGraph
+from .refining import dissimilarity, goodness, marginal_gain
 
 BRUTE_FORCE_LIMIT = 20
 SLACK_TOL = -1e-12
-DEFAULT_KERNEL_BANDWIDTH = 10.0
 
 
 def brute_force_subset(
@@ -71,9 +72,6 @@ class PropertyReport:
             f"min_slack={self.min_slack:.3e} -> {verdict}"
         )
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.summary()
-
 
 def sample_instance(
     rng: np.random.Generator, n: int, normalize: bool = False
@@ -89,11 +87,35 @@ def sample_instance(
     s = rng.uniform(0.0, 1.0, size=(n, n))
     s = (s + s.T) / 2.0
     np.fill_diagonal(s, 0.0)
-    d = np.exp(-(s ** 2) / DEFAULT_KERNEL_BANDWIDTH)
-    np.fill_diagonal(d, 0.0)
+    d = dissimilarity(TopicGraph(tuple(range(n)), s))
     if normalize:
         d = d / d.sum()
     return pi, d
+
+
+def _instance(pi: np.ndarray, d, trials: int, need: str) -> tuple[np.ndarray, np.ndarray, int]:
+    pi = np.asarray(pi, dtype=float)
+    if len(pi) < 2:
+        raise InputError(f"need at least two members to {need}")
+    if trials < 1:
+        raise InputError("trials must be >= 1")
+    return pi, np.asarray(d, dtype=float), len(pi)
+
+
+def _probe(
+    name: str, trials: int, seed: int, slack: Callable[[np.random.Generator], float]
+) -> PropertyReport:
+    """Draw slack(rng) trials times; slack below -1e-12 is a violation."""
+    rng = np.random.default_rng(seed)
+    slacks = [slack(rng) for _ in range(trials)]
+    violations = sum(value < SLACK_TOL for value in slacks)
+    return PropertyReport(
+        name=name,
+        trials=trials,
+        violations=violations,
+        min_slack=float(min(slacks)),
+        passed=violations == 0,
+    )
 
 
 def check_submodularity(
@@ -108,34 +130,18 @@ def check_submodularity(
     Slack below -1e-12 counts as a violation; the report carries the worst
     slack seen so a failure is reproducible and quantified.
     """
-    pi = np.asarray(pi, dtype=float)
-    dm = np.asarray(d, dtype=float)
-    n = len(pi)
-    if n < 2:
-        raise InputError("need at least two members to nest subsets")
-    if trials < 1:
-        raise InputError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    violations = 0
-    min_slack = np.inf
-    for _ in range(trials):
+    pi, dm, n = _instance(pi, d, trials, "nest subsets")
+
+    def slack(rng: np.random.Generator) -> float:
         x = int(rng.integers(n))
         rest = [i for i in range(n) if i != x]
         size2 = int(rng.integers(1, len(rest) + 1))
         p2 = list(rng.choice(rest, size=size2, replace=False))
         size1 = int(rng.integers(0, size2))  # proper subset
         p1 = list(rng.choice(p2, size=size1, replace=False)) if size1 else []
-        slack = marginal_gain(x, p1, pi, dm, lam) - marginal_gain(x, p2, pi, dm, lam)
-        min_slack = min(min_slack, slack)
-        if slack < SLACK_TOL:
-            violations += 1
-    return PropertyReport(
-        name="submodularity",
-        trials=trials,
-        violations=violations,
-        min_slack=float(min_slack),
-        passed=violations == 0,
-    )
+        return marginal_gain(x, p1, pi, dm, lam) - marginal_gain(x, p2, pi, dm, lam)
+
+    return _probe("submodularity", trials, seed, slack)
 
 
 def check_monotonicity(
@@ -151,36 +157,20 @@ def check_monotonicity(
     regime where the property provably holds, but smaller lam is accepted
     so the check can demonstrate where the property breaks.
     """
-    pi = np.asarray(pi, dtype=float)
-    dm = np.asarray(d, dtype=float)
-    n = len(pi)
-    if n < 2:
-        raise InputError("need at least two members to split")
-    if trials < 1:
-        raise InputError("trials must be >= 1")
+    pi, dm, n = _instance(pi, d, trials, "split")
     total = float(dm.sum())
     if abs(total - 1.0) > 1e-8:
         raise InputError(
             f"monotonicity check needs D normalized to unit mass, got {total:.6f}"
         )
-    rng = np.random.default_rng(seed)
-    violations = 0
-    min_slack = np.inf
     nodes = np.arange(n)
-    for _ in range(trials):
+
+    def slack(rng: np.random.Generator) -> float:
         perm = rng.permutation(nodes)
         size2 = int(rng.integers(1, n))
         size1 = int(rng.integers(0, n - size2 + 1))
         p2 = list(perm[:size2])
         p1 = list(perm[size2 : size2 + size1])
-        slack = goodness(p1 + p2, pi, dm, lam) - goodness(p2, pi, dm, lam)
-        min_slack = min(min_slack, slack)
-        if slack < SLACK_TOL:
-            violations += 1
-    return PropertyReport(
-        name="monotonicity",
-        trials=trials,
-        violations=violations,
-        min_slack=float(min_slack),
-        passed=violations == 0,
-    )
+        return goodness(p1 + p2, pi, dm, lam) - goodness(p2, pi, dm, lam)
+
+    return _probe("monotonicity", trials, seed, slack)

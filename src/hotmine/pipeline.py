@@ -18,22 +18,20 @@ deterministic given the config, so a rerun writes bit-identical outputs.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import Field, asdict, dataclass, fields
+from math import inf, isfinite
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from . import bundling, interestingness, ranking, refining
 from .bundling import CoarseTopic, bundle, nms_dedupe
 from .candidates import TopicCandidate, save_candidates
 from .errors import InputError
 from .evaluation import EvaluationReport, GroundTruth, evaluate, write_curves
 from .graph import (
-    SimilarityGraph,
-    SimilarityMatrix,
-    gaussian_affinity,
-    knn_sparsify,
-    mix_graphs,
+    SimilarityGraph, SimilarityMatrix, gaussian_affinity, knn_sparsify, mix_graphs
 )
 from .interestingness import pagerank, reconstructed_similarity, transition_matrix
 from .ranking import apply_weights, estimate_weights, rank
@@ -56,17 +54,17 @@ class PipelineConfig:
     sigma2_affinity: float | None = None
     apply_kernel: bool = True
     cascade_thresholds: tuple[float, ...] = (0.1, 0.5, 0.9)
-    window: int = 100
-    tau: float = 0.4
-    nms_thresh: float = 0.4
-    alpha: float = 0.9
-    sigma_dissim: float = 10.0
-    lam: float = 2.0
-    margin: float = 0.1
-    pd_max_iter: int = 500
-    pd_tol: float = 1e-6
-    pr_tol: float = 1e-9
-    pr_max_iter: int = 200
+    window: int = bundling.DEFAULT_WINDOW
+    tau: float = bundling.DEFAULT_TAU
+    nms_thresh: float = bundling.DEFAULT_NMS_THRESH
+    alpha: float = interestingness.DEFAULT_DAMPING
+    sigma_dissim: float = refining.DEFAULT_BANDWIDTH
+    lam: float = refining.DEFAULT_TRADEOFF
+    margin: float = refining.DEFAULT_MARGIN
+    pd_max_iter: int = ranking.DEFAULT_MAX_ITER
+    pd_tol: float = ranking.DEFAULT_TOL
+    pr_tol: float = interestingness.DEFAULT_PR_TOL
+    pr_max_iter: int = interestingness.DEFAULT_PR_MAX_ITER
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -83,27 +81,52 @@ class PipelineConfig:
             raise InputError(f"nms_thresh must lie in (0, 1), got {self.nms_thresh}")
         if not (0.0 <= self.alpha < 1.0):
             raise InputError(f"alpha must lie in [0, 1), got {self.alpha}")
-        if self.sigma_dissim <= 0.0 or self.lam <= 0.0:
-            raise InputError("sigma_dissim and lam must be positive")
-        if self.margin < 0.0:
-            raise InputError("margin must be >= 0")
+        if not (0.0 < self.sigma_dissim < inf and 0.0 < self.lam < inf):
+            raise InputError("sigma_dissim and lam must be positive and finite")
+        if not 0.0 <= self.margin < inf:
+            raise InputError(f"margin must be >= 0 and finite, got {self.margin}")
         if self.pd_max_iter < 1 or self.pr_max_iter < 1:
             raise InputError("iteration caps must be >= 1")
-        if self.pd_tol <= 0.0 or self.pr_tol <= 0.0:
-            raise InputError("tolerances must be positive")
+        if not (0.0 < self.pd_tol < inf and 0.0 < self.pr_tol < inf):
+            raise InputError("tolerances must be positive and finite")
+        if self.sigma2_affinity is not None and not isfinite(self.sigma2_affinity):
+            raise InputError(f"sigma2_affinity must be finite, got {self.sigma2_affinity}")
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        data["cascade_thresholds"] = list(self.cascade_thresholds)
-        return data
+        return {**asdict(self), "cascade_thresholds": list(self.cascade_thresholds)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
+        """Values must have their field's JSON type; none is converted."""
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
+        for field in fields(cls):
+            value, kind = data.get(field.name, field.default), field_type(field)
+            if not (value is None is field.default or _is_a(value, kind)):
+                expected = _JSON_TYPES[kind] + (" or null" if field.default is None else "")
+                got = json.dumps(value, default=repr)
+                raise InputError(f"config key {field.name} must be {expected}, got {got}")
         return cls(**data)
+
+
+_JSON_TYPES = {bool: "a bool", tuple: "a list of numbers", int: "an int", float: "a number"}
+
+
+def field_type(field: Field) -> type:
+    """A config field's type, read from its class default: bool, tuple (of
+    numbers), int or float. A None default stands for a float or null."""
+    return float if field.default is None else type(field.default)
+
+
+def _is_a(value, kind: type) -> bool:
+    """An int passes for a float, a bool only for a bool, and a tuple is a
+    list of numbers."""
+    if kind is tuple:
+        return isinstance(value, (list, tuple)) and all(_is_a(v, float) for v in value)
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 @dataclass(frozen=True)
@@ -208,9 +231,9 @@ def run_br(
 ) -> PipelineResult:
     """Run the pipeline on a prebuilt graph and candidate list.
 
-    Ranking annotates every candidate in place with its fitted weight and
-    interestingness. With stop_after="rank" each ranked candidate becomes
-    a single-source topic.
+    Ranking annotates every candidate in place with its fitted weight.
+    With stop_after="rank" each ranked candidate becomes a single-source
+    topic.
     """
     if stop_after not in STAGES:
         raise InputError(f"stop_after must be one of {STAGES}, got {stop_after!r}")
@@ -221,7 +244,7 @@ def run_br(
     ranked = rank(candidates)
     if stop_after == "rank":
         coarse = [
-            CoarseTopic(item.members, (ranked.indices[pos],), pos)
+            CoarseTopic(item.members, (ranked.indices[pos],))
             for pos, item in enumerate(ranked.items)
         ]
     else:
@@ -255,25 +278,17 @@ def provenance_dict(result: PipelineResult) -> dict:
         "config": result.config.to_dict(),
         "stage": result.stage,
         "detections": [
-            {
-                "rank": det.rank,
-                "members": sorted(det.members),
-                "coarse_members": sorted(det.coarse_members),
-                "sources": list(det.sources),
-                "bypassed": det.bypassed,
-                "pi": list(det.pi) if det.pi is not None else None,
-                "selection_order": (
-                    list(det.selection_order)
-                    if det.selection_order is not None
-                    else None
-                ),
-                "gains": list(det.gains) if det.gains is not None else None,
-                "deltas": list(det.deltas) if det.deltas is not None else None,
-                "cut_index": det.cut_index,
-            }
+            {f.name: _jsonable(getattr(det, f.name)) for f in fields(det)}
             for det in result.detections
         ],
     }
+
+
+def _jsonable(value):
+    """Member sets as sorted lists, tuples as lists, anything else as is."""
+    if isinstance(value, frozenset):
+        return sorted(value)
+    return list(value) if isinstance(value, tuple) else value
 
 
 def write_provenance(result: PipelineResult, path: str | Path) -> None:

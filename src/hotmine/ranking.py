@@ -53,9 +53,6 @@ class RankedTopicList:
     items: list[TopicCandidate]
     indices: list[int]
 
-    def __len__(self) -> int:
-        return len(self.items)
-
 
 class _Coverage:
     """Covered-edge view of a candidate list against a graph."""
@@ -187,7 +184,7 @@ def poisson_log_likelihood(
 def apply_weights(
     candidates: Sequence[TopicCandidate], weights: np.ndarray
 ) -> None:
-    """Attach fitted weights (and interestingness) to candidates in place."""
+    """Attach fitted weights to candidates in place."""
     weights = np.asarray(weights, dtype=float)
     if len(weights) != len(candidates):
         raise InputError("weights length does not match candidate count")
@@ -195,7 +192,6 @@ def apply_weights(
         raise InputError("weights must be finite and nonnegative")
     for cand, w in zip(candidates, weights):
         cand.weight = float(w)
-        cand.interestingness = float(w) * cand.size
 
 
 def rank(candidates: Sequence[TopicCandidate]) -> RankedTopicList:
@@ -211,7 +207,6 @@ def rank(candidates: Sequence[TopicCandidate]) -> RankedTopicList:
             raise InputError(f"candidate {pos} has no weight; run estimate_weights first")
         if cand.weight < 0.0:
             raise InputError(f"candidate {pos} has negative weight")
-        cand.interestingness = cand.weight * cand.size
     order = sorted(
         range(len(candidates)),
         key=lambda k: (-candidates[k].interestingness, k),

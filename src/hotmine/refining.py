@@ -68,13 +68,14 @@ def dissimilarity(tg: TopicGraph, bandwidth: float = DEFAULT_BANDWIDTH) -> np.nd
     return values
 
 
-def _check_instance(pi: np.ndarray, d: np.ndarray) -> None:
+def _instance(pi, d) -> tuple[np.ndarray, np.ndarray]:
+    """pi and D as float arrays, checked to be a vector and a matching square."""
+    pi, d = np.asarray(pi, dtype=float), np.asarray(d, dtype=float)
     if pi.ndim != 1:
         raise InputError("pi must be a vector")
     if d.shape != (len(pi), len(pi)):
-        raise InputError(
-            f"dissimilarity shape {d.shape} does not match {len(pi)} scores"
-        )
+        raise InputError(f"dissimilarity shape {d.shape} does not match {len(pi)} scores")
+    return pi, d
 
 
 def goodness(
@@ -84,9 +85,7 @@ def goodness(
     lam: float = DEFAULT_TRADEOFF,
 ) -> float:
     """Objective value of a member subset (local indices into pi)."""
-    pi = np.asarray(pi, dtype=float)
-    dm = np.asarray(d, dtype=float)
-    _check_instance(pi, dm)
+    pi, dm = _instance(pi, d)
     sel = sorted(set(int(i) for i in selection))
     if not sel:
         return 0.0
@@ -108,9 +107,7 @@ def marginal_gain(
     With a zero diagonal this equals lam * pi_p minus the two cross terms
     against the current selection; no full re-evaluation is needed.
     """
-    pi = np.asarray(pi, dtype=float)
-    dm = np.asarray(d, dtype=float)
-    _check_instance(pi, dm)
+    pi, dm = _instance(pi, d)
     p = int(p)
     if p < 0 or p >= len(pi):
         raise InputError(f"candidate index {p} outside topic of size {len(pi)}")
@@ -134,9 +131,7 @@ def greedy_select(
     Selection does not stop at a negative gain; the complete trace is what
     the cut search needs. Ties go to the lower index.
     """
-    pi = np.asarray(pi, dtype=float)
-    dm = np.asarray(d, dtype=float)
-    _check_instance(pi, dm)
+    pi, dm = _instance(pi, d)
     m = len(pi)
     if m == 0:
         raise InputError("cannot refine an empty topic")

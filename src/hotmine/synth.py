@@ -139,15 +139,14 @@ def _similarity(
         raw[block] = scenario.intra_similarity + scenario.jitter * rng.standard_normal(
             (len(pages), len(pages))
         )
-    upper = np.triu_indices(n, k=1)
-    values = np.zeros((n, n))
-    values[upper] = np.clip(raw[upper], 0.0, 1.0)
-    values = values + values.T
-    return SimilarityMatrix(values)
+    v = np.triu(np.clip(raw, 0.0, 1.0), 1)
+    return SimilarityMatrix(v + v.T)
 
 
 def generate_synthetic(scenario: SyntheticScenario, seed: int = 0) -> SyntheticData:
     """Build the corpus deterministically from the seed."""
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(int(seed))
     offsets = np.cumsum((0,) + scenario.topic_sizes)
     topics = [

@@ -11,6 +11,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from conftest import loglog_fit
 from hotmine.bundling import bundle
 from hotmine.candidates import TopicCandidate
 from hotmine.evaluation import GroundTruth, evaluate
@@ -222,14 +223,10 @@ def test_a8_bundling_time_scales_linearly_in_candidates():
             bundle(ranked, window=50, tau=0.4)
             best = min(best, time.perf_counter() - t0)
         times.append(best)
-    xs, ys = np.log(np.asarray(sizes, float)), np.log(np.asarray(times))
-    slope, intercept = np.polyfit(xs, ys, 1)
-    fit = slope * xs + intercept
-    ss_res = float(np.sum((ys - fit) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r_squared = 1.0 - ss_res / ss_tot
-    assert 0.75 <= slope <= 1.3, f"slope {slope:.3f}"
-    assert r_squared >= 0.95, f"R^2 {r_squared:.4f}"
+    slope, r_squared = loglog_fit(sizes, times)
+    fit = f"slope {slope:.3f}, R^2 {r_squared:.4f}, times {times}"
+    assert 0.75 <= slope <= 1.3, fit
+    assert r_squared >= 0.95, fit
 
 
 def test_a9_hand_computed_staircase_is_exact():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import loglog_fit
 from hotmine.bundling import CoarseTopic, bundle, nms_dedupe
 from hotmine.candidates import TopicCandidate
 from hotmine.errors import InputError
@@ -22,7 +23,7 @@ def ranked_from_sets(sets):
 
 def as_coarse(sets):
     """Treat the given member sets as coarse topics in rank order."""
-    return [CoarseTopic(frozenset(s), sources=(k,), rank=k) for k, s in enumerate(sets)]
+    return [CoarseTopic(frozenset(s), sources=(k,)) for k, s in enumerate(sets)]
 
 
 member_sets = st.lists(
@@ -39,8 +40,8 @@ def test_bundle_merges_overlapping_neighbors():
     ranked = ranked_from_sets([{1, 2, 3}, {2, 3, 4}, {9}, {1, 3}])
     # seed 0 scans ranks 1..3, {9} fails, {1,3} joins; seed 2 has nothing left
     assert bundle(ranked, window=3, tau=0.4) == [
-        CoarseTopic(frozenset({1, 2, 3, 4}), sources=(0, 1, 3), rank=0),
-        CoarseTopic(frozenset({9}), sources=(2,), rank=2),
+        CoarseTopic(frozenset({1, 2, 3, 4}), sources=(0, 1, 3)),
+        CoarseTopic(frozenset({9}), sources=(2,)),
     ]
 
 
@@ -71,7 +72,6 @@ def test_bundle_window_zero_passes_everything_through():
         frozenset({1, 2}),
         frozenset({3}),
     ]
-    assert [t.rank for t in coarse] == [0, 1, 2]
 
 
 def test_bundle_window_limits_reach():
@@ -93,9 +93,7 @@ def test_bundle_rank_is_seed_position_and_sources_are_input_indices():
     coarse = bundle(ranked, window=2, tau=0.4)
     assert coarse[0].members == frozenset({1, 2, 3})
     assert coarse[0].sources == (2, 0)
-    assert coarse[0].rank == 0
     assert coarse[1].sources == (1,)
-    assert coarse[1].rank == 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -114,7 +112,7 @@ def test_bundle_never_merges_disjoint_inputs():
     sets = [{2 * k, 2 * k + 1} for k in range(10)]
     coarse = bundle(ranked_from_sets(sets), window=4, tau=0.4)
     assert coarse == [
-        CoarseTopic(frozenset(s), sources=(k,), rank=k) for k, s in enumerate(sets)
+        CoarseTopic(frozenset(s), sources=(k,)) for k, s in enumerate(sets)
     ]
 
 
@@ -155,7 +153,7 @@ def reference_bundle(ranked, window, tau):
                 union |= other
                 sources.append(ranked.indices[j])
                 consumed[j] = True
-        out.append(CoarseTopic(frozenset(union), tuple(sources), rank=k))
+        out.append(CoarseTopic(frozenset(union), tuple(sources)))
     return out
 
 
@@ -180,15 +178,15 @@ def test_bundle_matches_union_set_scan(sets, window, tau):
 
 
 def test_nms_keeps_first_of_identical_pair():
-    a = CoarseTopic(frozenset({1, 2, 3}), sources=(0,), rank=0)
-    b = CoarseTopic(frozenset({1, 2, 3}), sources=(1,), rank=1)
+    a = CoarseTopic(frozenset({1, 2, 3}), sources=(0,))
+    b = CoarseTopic(frozenset({1, 2, 3}), sources=(1,))
     assert nms_dedupe([a, b], overlap_thresh=0.4) == [a]
 
 
 def test_nms_chain_only_checks_against_kept():
-    a = CoarseTopic(frozenset({1, 2, 3}), sources=(0,), rank=0)
-    b = CoarseTopic(frozenset({2, 3, 4}), sources=(1,), rank=1)
-    c = CoarseTopic(frozenset({4, 5, 6}), sources=(2,), rank=2)
+    a = CoarseTopic(frozenset({1, 2, 3}), sources=(0,))
+    b = CoarseTopic(frozenset({2, 3, 4}), sources=(1,))
+    c = CoarseTopic(frozenset({4, 5, 6}), sources=(2,))
     # b dies against a; c overlaps b but b is gone, so c survives
     assert nms_dedupe([a, b, c], overlap_thresh=0.4) == [a, c]
 
@@ -272,12 +270,7 @@ def test_nms_time_scales_linearly_in_topics():
             t0 = time.perf_counter()
             nms_dedupe(coarse, overlap_thresh=0.4)
             times[k] = min(times[k], time.perf_counter() - t0)
-    xs, ys = np.log(np.asarray(sizes, float)), np.log(np.asarray(times))
-    slope, intercept = np.polyfit(xs, ys, 1)
-    fit = slope * xs + intercept
-    ss_res = float(np.sum((ys - fit) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r_squared = 1.0 - ss_res / ss_tot
+    slope, r_squared = loglog_fit(sizes, times)
     # comparing every topic with every kept one gives a slope near 2
     assert slope <= 1.5, f"slope {slope:.3f}, times {times}"
     assert r_squared >= 0.9, f"R^2 {r_squared:.4f}, times {times}"

@@ -266,6 +266,49 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value,expected", [
+    ('{"tau": "abc"}', 'tau must be a number, got "abc"'),
+    ('{"window": null}', "window must be an int, got null"),
+    ('{"window": 7.0}', "window must be an int, got 7.0"),
+    ('{"knn_txt": true}', "knn_txt must be an int, got true"),
+    ('{"alpha": false}', "alpha must be a number, got false"),
+    ('{"cascade_thresholds": 5}', "cascade_thresholds must be a list of numbers, got 5"),
+    ('{"cascade_thresholds": [0.2, "x"]}', "cascade_thresholds must be a list of numbers"),
+    ('{"apply_kernel": "no"}', 'apply_kernel must be a bool, got "no"'),
+    ('{"apply_kernel": 0}', "apply_kernel must be a bool, got 0"),
+    ('{"sigma2_affinity": "1"}', 'sigma2_affinity must be a number or null, got "1"'),
+])
+def test_wrongly_typed_config_value_exits_one(tmp_path, capsys, value, expected):
+    bad = tmp_path / "bad.json"
+    bad.write_text(value)
+    rc = main(["--config", str(bad), "oracle", "--trials", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: config key {expected}")
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["run", "--tau", "abc"], "hotmine run: argument --tau: invalid float value: 'abc'"),
+    (["frobnicate"], "hotmine: argument command: invalid choice: 'frobnicate'"),
+    (["run", "--vis", "v.sim"], "hotmine run: the following arguments are required: --txt"),
+    (["--config"], "hotmine: argument --config: expected one argument"),
+])
+def test_usage_error_exits_one_with_one_line(capsys, argv, expected):
+    # exit 2 is reserved for solvers that hit their iteration cap
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: " + expected)
+    assert captured.out == ""
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--out-prefix" in capsys.readouterr().out
+
+
 def test_bad_flag_value_exits_one(corpus, tmp_path, capsys):
     rc = main([
         "bundle",

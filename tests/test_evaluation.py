@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import loglog_fit
 from hotmine.candidates import TopicCandidate
 from hotmine.errors import InputError
 from hotmine.evaluation import (
@@ -443,12 +444,7 @@ def test_evaluate_time_scales_linearly_in_detections():
             t0 = time.perf_counter()
             evaluate(detections, truth)
             times[k] = min(times[k], time.perf_counter() - t0)
-    xs, ys = np.log(np.asarray(sizes, float)), np.log(np.asarray(times))
-    slope, intercept = np.polyfit(xs, ys, 1)
-    fit = slope * xs + intercept
-    ss_res = float(np.sum((ys - fit) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r_squared = 1.0 - ss_res / ss_tot
+    slope, r_squared = loglog_fit(sizes, times)
     # re-sorting every prefix and rescanning every point per budget gives a
     # slope near 2
     assert slope <= 1.3, f"slope {slope:.3f}, times {times}"

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import graph_from_dense, random_similarity
+from conftest import graph_from_dense, loglog_fit, random_similarity
 from hotmine.errors import InputError
 from hotmine.graph import (
     SimilarityGraph,
@@ -653,8 +653,12 @@ def test_graph_stage_scales_linearly_in_nonzeros(tmp_path):
             build(n)
             best[n] = min(best[n], time.perf_counter() - start)
 
-    x = np.log([nnz[n] for n in sizes])
-    time_slope = np.polyfit(x, np.log([best[n] for n in sizes]), 1)[0]
-    memory_slope = np.polyfit(x, np.log([peak[n] for n in sizes]), 1)[0]
-    assert time_slope <= 1.3, (time_slope, best)
-    assert memory_slope <= 1.3, (memory_slope, peak)
+    nonzeros = [nnz[n] for n in sizes]
+    time_slope, time_r2 = loglog_fit(nonzeros, [best[n] for n in sizes])
+    memory_slope, memory_r2 = loglog_fit(nonzeros, [peak[n] for n in sizes])
+    assert time_slope <= 1.3, (
+        f"time slope {time_slope:.3f}, R^2 {time_r2:.4f}, seconds per n {best}"
+    )
+    assert memory_slope <= 1.3, (
+        f"memory slope {memory_slope:.3f}, R^2 {memory_r2:.4f}, peak bytes per n {peak}"
+    )

@@ -41,7 +41,7 @@ def random_transition(rng, m):
 
 
 def test_reconstruction_single_source():
-    topic = CoarseTopic(frozenset({3, 5}), sources=(0,), rank=0)
+    topic = CoarseTopic(frozenset({3, 5}), sources=(0,))
     tg = reconstructed_similarity(topic, [weighted({3, 5}, 0.3)])
     assert tg.nodes == (3, 5)
     np.testing.assert_allclose(tg.weights, [[0.0, 0.3], [0.3, 0.0]])
@@ -49,7 +49,7 @@ def test_reconstruction_single_source():
 
 def test_reconstruction_sums_overlapping_sources():
     cands = [weighted({0, 1, 2}, 0.2), weighted({1, 2, 3}, 0.3)]
-    topic = CoarseTopic(frozenset({0, 1, 2, 3}), sources=(0, 1), rank=0)
+    topic = CoarseTopic(frozenset({0, 1, 2, 3}), sources=(0, 1))
     tg = reconstructed_similarity(topic, cands)
     # pair (1, 2) sits in both sources
     assert tg.weights[1, 2] == pytest.approx(0.5)
@@ -67,7 +67,7 @@ def test_reconstruction_matches_pair_loop():
         for _ in range(3)
     ]
     members = frozenset().union(*(c.members for c in cands))
-    topic = CoarseTopic(members, sources=(0, 1, 2), rank=0)
+    topic = CoarseTopic(members, sources=(0, 1, 2))
     tg = reconstructed_similarity(topic, cands)
     nodes = tg.nodes
     for a in range(tg.size):
@@ -83,19 +83,19 @@ def test_reconstruction_matches_pair_loop():
 def test_reconstruction_ignores_members_outside_topic():
     # source extends past the topic; only the inside pair gets weight
     cands = [weighted({0, 1, 9}, 0.4)]
-    topic = CoarseTopic(frozenset({0, 1}), sources=(0,), rank=0)
+    topic = CoarseTopic(frozenset({0, 1}), sources=(0,))
     tg = reconstructed_similarity(topic, cands)
     np.testing.assert_allclose(tg.weights, [[0.0, 0.4], [0.4, 0.0]])
 
 
 def test_reconstruction_rejects_bad_source_index():
-    topic = CoarseTopic(frozenset({0, 1}), sources=(5,), rank=0)
+    topic = CoarseTopic(frozenset({0, 1}), sources=(5,))
     with pytest.raises(InputError, match="outside candidate list"):
         reconstructed_similarity(topic, [weighted({0, 1}, 0.1)])
 
 
 def test_reconstruction_requires_fitted_weights():
-    topic = CoarseTopic(frozenset({0, 1}), sources=(0,), rank=0)
+    topic = CoarseTopic(frozenset({0, 1}), sources=(0,))
     with pytest.raises(InputError, match="no weight"):
         reconstructed_similarity(topic, [TopicCandidate({0, 1})])
 

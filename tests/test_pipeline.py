@@ -7,6 +7,7 @@ import pytest
 
 from hotmine.candidates import TopicCandidate
 from hotmine.errors import InputError
+from hotmine.graph import save_similarity
 from hotmine.pipeline import (
     PipelineConfig,
     build_mixed_graph,
@@ -82,6 +83,16 @@ def test_config_defaults():
     (dict(pr_max_iter=0), "iteration caps"),
     (dict(pd_tol=0.0), "tolerances"),
     (dict(pr_tol=-1e-9), "tolerances"),
+    (dict(lam=float("nan")), "positive"),
+    (dict(lam=float("inf")), "positive"),
+    (dict(sigma_dissim=float("nan")), "positive"),
+    (dict(sigma_dissim=float("inf")), "positive"),
+    (dict(margin=float("nan")), "margin"),
+    (dict(margin=float("inf")), "margin"),
+    (dict(pd_tol=float("nan")), "tolerances"),
+    (dict(pr_tol=float("inf")), "tolerances"),
+    (dict(sigma2_affinity=float("nan")), "sigma2_affinity"),
+    (dict(sigma2_affinity=float("-inf")), "sigma2_affinity"),
 ])
 def test_config_validation(kwargs, msg):
     with pytest.raises(InputError, match=msg):
@@ -99,6 +110,15 @@ def test_config_dict_round_trip():
 def test_config_rejects_unknown_keys():
     with pytest.raises(InputError, match="unknown config keys"):
         PipelineConfig.from_dict({"tau": 0.3, "bogus": 1})
+
+
+def test_config_from_dict_keeps_values_as_given():
+    # ints pass for floats and null for the optional bandwidth; nothing is
+    # converted, so provenance echoes the file
+    data = {"tau": 1, "sigma2_affinity": None, "cascade_thresholds": [0.25, 1]}
+    config = PipelineConfig.from_dict(data)
+    assert type(config.tau) is int and config.sigma2_affinity is None
+    assert PipelineConfig.from_dict({"sigma2_affinity": 2}).sigma2_affinity == 2
 
 
 def test_build_mixed_graph_clamps_neighbor_counts():
@@ -222,13 +242,28 @@ def test_rerun_is_bit_identical(tmp_path):
     assert run_once("a") == run_once("b")
 
 
-# sha256 of write_provenance for the rank- and bundle-stage runs of
+# sha256 of write_provenance for the rank-, bundle- and refine-stage runs of
 # two_topic_case. The prefix stages share the refine path's bypass, so these
-# bytes must not move when that path changes.
+# bytes must not move when that path changes. Recorded on x86-64 Linux with
+# numpy 2.4 and scipy 1.17; another BLAS or CPU may round the refine floats
+# differently, so a mismatch elsewhere needs a look before a re-record.
 PINNED_PROVENANCE = {
     "rank": "77cd25be5065385c6d354ecafcd0937048dc8335f1c9e719d490b89e2db2e85a",
     "bundle": "4474a2bf8d971f095d942af7a656a3a346b2747eb346c8043559f6276e2ace59",
+    "refine": "77344944fea3291ce8e42ce5c7191deccf9ad6e0f74df25637a1c9464fe9dfa6",
 }
+# sha256 of write_detections for the refine-stage run of two_topic_case, and
+# of save_similarity for both matrices of passthrough_case's corpus; same
+# platform as above.
+PINNED_REFINE_TOPICS = "b4948dacb6fd5f3dc7ef3122a7594156570a97cea0fb08f4e94b3dd0a76d0260"
+PINNED_SIMILARITY = {
+    "vis": "e210d550d66086620489053103183d487a3b8410b7ed45e6e228743fc8f7d282",
+    "txt": "2a06455d096319e92f2d52d21c876f52be1a7d01172845e8ca71ace61419b7c9",
+}
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("stage", ["rank", "bundle"])
@@ -238,7 +273,24 @@ def test_prefix_stage_provenance_is_pinned(tmp_path, stage):
     result = run_br(config, graph, list(data.candidates), stop_after=stage)
     path = tmp_path / "provenance.json"
     write_provenance(result, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_PROVENANCE[stage]
+    assert sha256(path) == PINNED_PROVENANCE[stage]
+
+
+def test_refine_stage_outputs_are_pinned(tmp_path):
+    data, config = two_topic_case()
+    graph = build_mixed_graph(config, data.w_vis, data.w_txt)
+    result = run_br(config, graph, list(data.candidates))
+    write_detections(result, tmp_path / "topics.txt")
+    write_provenance(result, tmp_path / "provenance.json")
+    assert sha256(tmp_path / "topics.txt") == PINNED_REFINE_TOPICS
+    assert sha256(tmp_path / "provenance.json") == PINNED_PROVENANCE["refine"]
+
+
+def test_synthetic_similarity_bytes_are_pinned(tmp_path):
+    data, _ = passthrough_case()
+    for side, matrix in (("vis", data.w_vis), ("txt", data.w_txt)):
+        save_similarity(matrix, tmp_path / f"{side}.sim")
+        assert sha256(tmp_path / f"{side}.sim") == PINNED_SIMILARITY[side]
 
 
 # ------------------------------------------------------------- outputs

@@ -152,6 +152,12 @@ def test_vis_and_txt_matrices_differ():
     assert not np.allclose(data.w_vis.values, data.w_txt.values)
 
 
+def test_negative_seed_is_rejected():
+    sc = SyntheticScenario(n_webpages=30, topic_sizes=(10,))
+    with pytest.raises(InputError, match="seed must be >= 0"):
+        generate_synthetic(sc, seed=-1)
+
+
 def test_same_seed_reproduces_different_seed_varies():
     sc = SyntheticScenario(n_webpages=40, topic_sizes=(10, 10), fragment_noise=1)
     a = generate_synthetic(sc, seed=9)
