@@ -21,6 +21,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -95,6 +96,14 @@ def _list_of(kind: type):
     return parse
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type for an int >= 0."""
+    with contextlib.suppress(ValueError):
+        if int(text) >= 0:
+            return int(text)
+    raise argparse.ArgumentTypeError(f"must be a non-negative int, got {text!r}")
+
+
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     names = [field.name for field in dataclasses.fields(PipelineConfig)]
     return PipelineConfig(**{name: getattr(args, name) for name in names})
@@ -158,7 +167,7 @@ def _build_parser(base: PipelineConfig) -> argparse.ArgumentParser:
     p.add_argument("--truth", help="optional ground-truth file")
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--stop-after", choices=STAGES, default="refine")
-    p.add_argument("--max-fppt", type=int, default=None)
+    p.add_argument("--max-fppt", type=_non_negative_int, default=None)
     _add_config_flags(p, base)
 
     p = sub.add_parser("run", help="full pipeline from raw matrices")
@@ -168,7 +177,7 @@ def _build_parser(base: PipelineConfig) -> argparse.ArgumentParser:
     p.add_argument("--truth", help="optional ground-truth file")
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--stop-after", choices=STAGES, default="refine")
-    p.add_argument("--max-fppt", type=int, default=None)
+    p.add_argument("--max-fppt", type=_non_negative_int, default=None)
     _add_config_flags(p, base)
 
     p = sub.add_parser("eval", help="score detections against ground truth")
@@ -176,7 +185,7 @@ def _build_parser(base: PipelineConfig) -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True)
     p.add_argument("--n", type=int, required=True, help="total webpage count")
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--max-fppt", type=int, default=None)
+    p.add_argument("--max-fppt", type=_non_negative_int, default=None)
 
     p = sub.add_parser("oracle", help="run property checks on random instances")
     p.add_argument("--trials", type=int, default=1000, help="trials per check")

@@ -53,42 +53,105 @@ class InterestingnessVector:
     iterations: int
 
 
+def similarity_stack(
+    topics: Sequence[CoarseTopic], candidates: Sequence[TopicCandidate]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Node ids (T, m) and reconstructed weights (T, m, m) of T topics of m
+    members each: per topic, the source weights added in source order over
+    the pairs inside the topic."""
+    if len({len(topic.members) for topic in topics}) != 1:
+        raise InputError("a similarity stack needs topics of one size")
+    nodes = np.array([sorted(topic.members) for topic in topics], dtype=np.int64)
+    count, m = nodes.shape
+    weights = np.zeros((count, m, m))
+    for block, topic, row in zip(weights.reshape(count, m * m), topics, nodes.tolist()):
+        pos = {node: i for i, node in enumerate(row)}
+        for k in topic.sources:
+            if k < 0 or k >= len(candidates):
+                raise InputError(f"source index {k} outside candidate list")
+            cand = candidates[k]
+            if cand.weight is None:
+                raise InputError(f"candidate {k} has no weight; rank before refining")
+            idx = np.asarray([pos[u] for u in cand.members if u in pos])
+            if idx.size >= 2:
+                block[idx[:, None] * m + idx] += cand.weight
+    weights.reshape(count, m * m)[:, :: m + 1] = 0.0
+    return nodes, weights
+
+
 def reconstructed_similarity(
     topic: CoarseTopic, candidates: Sequence[TopicCandidate]
 ) -> TopicGraph:
     """Sum of source-candidate weights over pairs inside the topic."""
-    nodes = sorted(topic.members)
-    pos = {node: i for i, node in enumerate(nodes)}
-    m = len(nodes)
-    weights = np.zeros((m, m))
-    for k in topic.sources:
-        if k < 0 or k >= len(candidates):
-            raise InputError(f"source index {k} outside candidate list")
-        cand = candidates[k]
-        if cand.weight is None:
-            raise InputError(f"candidate {k} has no weight; rank before refining")
-        idx = np.asarray([pos[u] for u in cand.members if u in pos])
-        if idx.size >= 2:
-            weights[np.ix_(idx, idx)] += cand.weight
-    np.fill_diagonal(weights, 0.0)
-    return TopicGraph(tuple(nodes), weights)
+    nodes, weights = similarity_stack([topic], candidates)
+    return TopicGraph(tuple(nodes[0].tolist()), weights[0])
 
 
-def transition_matrix(tg: TopicGraph) -> np.ndarray:
-    """Row-normalize reconstructed similarity into a stochastic matrix.
+def transition_stack(weights: np.ndarray) -> np.ndarray:
+    """Row-normalize a (T, m, m) similarity stack into stochastic matrices.
 
     A node with no positive outgoing weight gets a uniform row, the usual
     dangling-node fix, so every row sums to one exactly.
     """
-    weights = tg.weights
     if np.any(weights < 0.0):
         raise InputError("reconstructed similarity has a negative weight")
-    m = tg.size
-    degrees = weights.sum(axis=1)
-    p = np.full((m, m), 1.0 / m)
-    live = degrees > 0.0
-    p[live] = weights[live] / degrees[live, None]
-    return p
+    degrees = weights.sum(axis=-1, keepdims=True)
+    uniform = np.full(weights.shape, 1.0 / weights.shape[-1])
+    return np.divide(weights, degrees, out=uniform, where=degrees > 0.0)
+
+
+def transition_matrix(tg: TopicGraph) -> np.ndarray:
+    """transition_stack of one topic graph."""
+    return transition_stack(tg.weights[None])[0]
+
+
+def pagerank_stack(
+    p: np.ndarray,
+    alpha: float = DEFAULT_DAMPING,
+    tol: float = DEFAULT_PR_TOL,
+    max_iter: int = DEFAULT_PR_MAX_ITER,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Damped power iteration to the stationary distributions of a (T, m, m)
+    stack of transition matrices: (T, m) scores and per-topic iterations.
+
+    alpha = 0 degenerates to the uniform distribution (pure random jump);
+    alpha must stay strictly below 1 so the iteration contracts. Each topic
+    stops at its own first step whose L1 change falls below tol, and its
+    row stays frozen from then on. Raises ConvergenceError when some topic
+    has not stopped within max_iter steps: a silent non-converged score
+    vector would poison the refinement downstream.
+    """
+    if not (0.0 <= alpha < 1.0):
+        raise InputError(f"alpha must lie in [0, 1), got {alpha}")
+    if tol <= 0.0 or max_iter < 1:
+        raise InputError("tol must be positive and max_iter >= 1")
+    count, m = p.shape[0], p.shape[-1]
+    if m == 0:
+        raise InputError("empty transition matrix")
+    if np.any(p < 0.0):
+        raise InputError("transition matrix has a negative entry")
+    off = np.abs(p.sum(axis=-1) - 1.0)
+    if np.max(off) > _ROW_SUM_TOL:
+        bad = int(np.argmax(off)) % m
+        raise InputError(f"row {bad} of the transition matrix does not sum to 1")
+
+    # pi <- alpha * P^T pi + (1 - alpha)/m from the uniform vector, on live rows
+    # only. Stacked matmul runs the gemv of a lone pt @ x, so the bits match.
+    x, iterations = np.full((count, m), 1.0 / m), np.zeros(count, dtype=np.int64)
+    jump = (1.0 - alpha) / m
+    live, cur, pt = np.arange(count), x, p.transpose(0, 2, 1).copy()
+    for iteration in range(1, max_iter + 1):
+        nxt = alpha * np.matmul(pt, cur[..., None])[..., 0] + jump
+        done = np.abs(nxt - cur).sum(axis=-1) < tol
+        cur = nxt
+        if done.any():
+            x[live[done]], iterations[live[done]] = nxt[done], iteration
+            if done.all():
+                return x, iterations
+            live, cur, pt = live[~done], nxt[~done], pt[~done]
+    raise ConvergenceError(
+        f"pagerank did not converge within {max_iter} iterations (tol={tol})"
+    )
 
 
 def pagerank(
@@ -97,40 +160,9 @@ def pagerank(
     tol: float = DEFAULT_PR_TOL,
     max_iter: int = DEFAULT_PR_MAX_ITER,
 ) -> InterestingnessVector:
-    """Damped power iteration to the stationary distribution.
-
-    alpha = 0 degenerates to the uniform distribution (pure random jump);
-    alpha must stay strictly below 1 so the iteration contracts. Raises
-    ConvergenceError when the L1 change between iterates has not fallen
-    below tol within max_iter steps: a silent non-converged score vector
-    would poison the refinement downstream.
-    """
+    """pagerank_stack of one square transition matrix."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise InputError(f"transition matrix must be square, got {p.shape}")
-    if not (0.0 <= alpha < 1.0):
-        raise InputError(f"alpha must lie in [0, 1), got {alpha}")
-    if tol <= 0.0 or max_iter < 1:
-        raise InputError("tol must be positive and max_iter >= 1")
-    m = p.shape[0]
-    if m == 0:
-        raise InputError("empty transition matrix")
-    if np.any(p < 0.0):
-        raise InputError("transition matrix has a negative entry")
-    rows = p.sum(axis=1)
-    if np.max(np.abs(rows - 1.0)) > _ROW_SUM_TOL:
-        bad = int(np.argmax(np.abs(rows - 1.0)))
-        raise InputError(f"row {bad} of the transition matrix does not sum to 1")
-
-    # pi <- alpha * P^T pi + (1 - alpha)/m, from the uniform vector.
-    x = np.full(m, 1.0 / m)
-    jump = (1.0 - alpha) / m
-    pt = p.T.copy()
-    for iteration in range(1, max_iter + 1):
-        prev = x
-        x = alpha * (pt @ x) + jump
-        if float(np.abs(x - prev).sum()) < tol:
-            return InterestingnessVector(pi=x, iterations=iteration)
-    raise ConvergenceError(
-        f"pagerank did not converge within {max_iter} iterations (tol={tol})"
-    )
+    pi, iterations = pagerank_stack(p[None], alpha=alpha, tol=tol, max_iter=max_iter)
+    return InterestingnessVector(pi=pi[0], iterations=int(iterations[0]))

@@ -7,7 +7,9 @@ The driver glues the stages together behind one config object:
 2. bundle ranked fragments into coarse topics and suppress near-duplicates;
 3. for each coarse topic, rebuild the model similarity over its members,
    score members by damped PageRank, greedily order them by marginal
-   goodness gain, and cut at the sharpest relative drop;
+   goodness gain, and cut at the sharpest relative drop. Topics are refined
+   in stacks of equal size: one vectorized pass per (size, chunk), plus
+   O(members) per topic to build its record;
 4. optionally score the detections against ground truth.
 
 `stop_after` lets callers run the weaker prefixes of the pipeline (rank
@@ -33,11 +35,15 @@ from .evaluation import EvaluationReport, GroundTruth, evaluate, write_curves
 from .graph import (
     SimilarityGraph, SimilarityMatrix, gaussian_affinity, knn_sparsify, mix_graphs
 )
-from .interestingness import pagerank, reconstructed_similarity, transition_matrix
+from .interestingness import pagerank_stack, similarity_stack, transition_stack
 from .ranking import apply_weights, estimate_weights, rank
-from .refining import apply_cut, dissimilarity, greedy_select
+from .refining import cut_stack, dissimilarity_stack, greedy_stack
 
 STAGES = ("rank", "bundle", "refine")
+
+# Largest (T, m, m) array one refine stack may hold: 8 MiB of floats. A
+# topic above it is refined as a stack of one.
+STACK_FLOATS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -178,47 +184,35 @@ def build_mixed_graph(
     return mix_graphs(sides[0], sides[1])
 
 
-def _refine_topic(
-    topic: CoarseTopic,
-    rank_pos: int,
+def _refine_topics(
+    coarse: Sequence[CoarseTopic],
     candidates: Sequence[TopicCandidate],
     config: PipelineConfig,
     refine: bool,
-) -> DetectedTopic:
-    if not refine or len(topic.members) <= 2:
-        # Stopped before refining, or too small for a gain trace: pass the
-        # coarse topic through.
-        return DetectedTopic(
-            rank=rank_pos,
-            members=topic.members,
-            coarse_members=topic.members,
-            sources=topic.sources,
-            bypassed=True,
-        )
-    tg = reconstructed_similarity(topic, candidates)
-    scores = pagerank(
-        transition_matrix(tg),
-        alpha=config.alpha,
-        tol=config.pr_tol,
-        max_iter=config.pr_max_iter,
-    )
-    d = dissimilarity(tg, bandwidth=config.sigma_dissim)
-    refined = apply_cut(
-        greedy_select(scores.pi, d, lam=config.lam), margin=config.margin
-    )
-    assert refined.members is not None and refined.cut_index is not None
-    return DetectedTopic(
-        rank=rank_pos,
-        members=frozenset(tg.nodes[i] for i in refined.members),
-        coarse_members=topic.members,
-        sources=topic.sources,
-        bypassed=False,
-        pi=tuple(float(v) for v in scores.pi),
-        selection_order=tuple(tg.nodes[i] for i in refined.selection_order),
-        gains=tuple(refined.gains),
-        deltas=tuple(refined.deltas),
-        cut_index=refined.cut_index,
-    )
+) -> list[DetectedTopic]:
+    """One detection per coarse topic, in rank order; topics of more than two
+    members are refined in stacks of equal size, the rest pass through."""
+    out = [DetectedTopic(pos, t.members, t.members, t.sources, True) for pos, t in enumerate(coarse)]
+    sizes: dict[int, list[int]] = {}
+    for pos, topic in enumerate(coarse):
+        if refine and len(topic.members) > 2:
+            sizes.setdefault(len(topic.members), []).append(pos)
+    for m, positions in sizes.items():
+        step = max(1, STACK_FLOATS // (m * m))
+        for chunk in (positions[lo : lo + step] for lo in range(0, len(positions), step)):
+            nodes, w = similarity_stack([coarse[pos] for pos in chunk], candidates)
+            pi, _ = pagerank_stack(transition_stack(w), config.alpha, config.pr_tol, config.pr_max_iter)
+            d = dissimilarity_stack(w, config.sigma_dissim)
+            order, gains, deltas, lengths = greedy_stack(pi, d, config.lam)
+            cuts = cut_stack(deltas, lengths, config.margin).tolist()
+            picked = np.take_along_axis(nodes, order, axis=1).tolist()
+            rows = zip(chunk, picked, cuts, pi.tolist(), gains.tolist(), deltas.tolist(), lengths)
+            for pos, sel, cut, p, g, dl, length in rows:
+                out[pos] = DetectedTopic(
+                    pos, frozenset(sel[: cut + 1]), out[pos].members, out[pos].sources, False,
+                    tuple(p), tuple(sel), tuple(g), tuple(dl[:length]), cut,
+                )
+    return out
 
 
 def run_br(
@@ -252,11 +246,7 @@ def run_br(
             bundle(ranked, window=config.window, tau=config.tau),
             overlap_thresh=config.nms_thresh,
         )
-    refine = stop_after == "refine"
-    detections = [
-        _refine_topic(topic, pos, candidates, config, refine)
-        for pos, topic in enumerate(coarse)
-    ]
+    detections = _refine_topics(coarse, candidates, config, stop_after == "refine")
     report = None if truth is None else evaluate(detections, truth, max_fppt=max_fppt)
     return PipelineResult(
         config=config, stage=stop_after, detections=detections, report=report

@@ -62,12 +62,15 @@ class _Coverage:
             raise InputError("no candidates to weight")
         n = g.n
         keys: list[np.ndarray] = []
+        triu: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # per candidate size
         for cand in candidates:
             members = np.asarray(cand.sorted_members(), dtype=np.int64)
             if members[-1] >= n:
                 raise InputError(f"candidate member {members[-1]} outside graph (n={n})")
             # triu_indices runs in lexicographic (i, j) order, i < j
-            iu, ju = np.triu_indices(len(members), 1)
+            if len(members) not in triu:
+                triu[len(members)] = np.triu_indices(len(members), 1)
+            iu, ju = triu[len(members)]
             keys.append(members[iu] * n + members[ju])
         n_pairs = np.asarray([len(k) for k in keys])
         pairs, first, inverse = np.unique(

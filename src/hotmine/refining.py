@@ -55,17 +55,23 @@ class RefinedTopic:
     members: frozenset[int] | None = None
 
 
-def dissimilarity(tg: TopicGraph, bandwidth: float = DEFAULT_BANDWIDTH) -> np.ndarray:
-    """D_ij = exp(-s_ij^2 / bandwidth) off the diagonal, 0 on it.
+def dissimilarity_stack(weights: np.ndarray, bandwidth: float = DEFAULT_BANDWIDTH) -> np.ndarray:
+    """D_ij = exp(-s_ij^2 / bandwidth) off the diagonal, 0 on it, for each
+    matrix of a (T, m, m) similarity stack.
 
     High reconstructed similarity means low dissimilarity. The diagonal is
     zeroed so that goodness never charges a member against itself.
     """
     if bandwidth <= 0.0 or not np.isfinite(bandwidth):
         raise InputError(f"bandwidth must be a positive real, got {bandwidth}")
-    values = np.exp(-(tg.weights ** 2) / bandwidth)
-    np.fill_diagonal(values, 0.0)
+    values = np.exp(-(weights ** 2) / bandwidth)
+    values.reshape(len(values), -1)[:, :: values.shape[-1] + 1] = 0.0
     return values
+
+
+def dissimilarity(tg: TopicGraph, bandwidth: float = DEFAULT_BANDWIDTH) -> np.ndarray:
+    """dissimilarity_stack of one topic graph."""
+    return dissimilarity_stack(tg.weights[None], bandwidth)[0]
 
 
 def _instance(pi, d) -> tuple[np.ndarray, np.ndarray]:
@@ -121,6 +127,46 @@ def marginal_gain(
     return float(lam * pi[p] - cross)
 
 
+def greedy_stack(
+    pi: np.ndarray, d: np.ndarray, lam: float = DEFAULT_TRADEOFF
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Full greedy passes over a (T, m) score stack and its (T, m, m)
+    dissimilarities: selection order and gains, both (T, m), relative drops
+    (T, m - 1) and the count of defined drops per topic. Row t's drops are
+    deltas[t, :lengths[t]], up to its first non-positive gain.
+    """
+    count, m = pi.shape
+    if m == 0:
+        raise InputError("cannot refine an empty topic")
+    # Cross terms against the selection, kept incrementally: O(T * m) a step.
+    # Topic t's entry j sits at flat position t * m + j (rows/columns of D).
+    base = np.arange(count) * m
+    flat_pi, d_rows = pi.reshape(-1), d.reshape(count * m, m)
+    d_cols = d.transpose(0, 2, 1).reshape(count * m, m)
+    row_acc = np.zeros((count, m))  # sum_{i in P} pi_i * D_ip
+    col_acc = np.zeros((count, m))  # sum_{j in P} D_pj * pi_j
+    selected = np.zeros((count, m), dtype=bool)
+    order, gains = np.empty((count, m), dtype=np.int64), np.empty((count, m))
+    current = lam * pi - pi * (row_acc + col_acc)
+    for step in range(m):
+        masked = np.where(selected, -np.inf, current)
+        j = masked.argmax(axis=-1)  # first max wins: lower index on ties
+        k = base + j
+        order[:, step], gains[:, step] = j, masked.reshape(-1)[k]
+        selected.reshape(-1)[k] = True
+        pj = flat_pi[k][:, None]
+        row_acc += pj * d_rows[k]
+        col_acc += d_cols[k] * pj
+        current = lam * pi - pi * (row_acc + col_acc)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        deltas = (gains[:, :-1] - gains[:, 1:]) / gains[:, :-1]
+    # The trace is meaningless from the first non-positive gain on.
+    stop = gains <= 0.0
+    stop[:, -1] = True
+    lengths = stop.argmax(axis=-1)
+    return order, gains, deltas, lengths
+
+
 def greedy_select(
     pi: np.ndarray,
     d,
@@ -132,47 +178,27 @@ def greedy_select(
     the cut search needs. Ties go to the lower index.
     """
     pi, dm = _instance(pi, d)
-    m = len(pi)
-    if m == 0:
-        raise InputError("cannot refine an empty topic")
-    # Accumulated cross terms against the current selection, kept
-    # incrementally so each step costs O(m).
-    row_acc = np.zeros(m)  # sum_{i in P} pi_i * D_ip
-    col_acc = np.zeros(m)  # sum_{j in P} D_pj * pi_j
-    selected = np.zeros(m, dtype=bool)
-    order: list[int] = []
-    gains: list[float] = []
-    current = lam * pi - pi * (row_acc + col_acc)
-    for _ in range(m):
-        masked = np.where(selected, -np.inf, current)
-        j = int(np.argmax(masked))  # first max wins: lower index on ties
-        order.append(j)
-        gains.append(float(masked[j]))
-        selected[j] = True
-        row_acc += pi[j] * dm[j, :]
-        col_acc += dm[:, j] * pi[j]
-        current = lam * pi - pi * (row_acc + col_acc)
-    deltas: list[float] = []
-    for t in range(len(gains) - 1):
-        if gains[t] <= 0.0:
-            break  # trace is meaningless once gains are exhausted
-        deltas.append((gains[t] - gains[t + 1]) / gains[t])
-    return RefinedTopic(selection_order=order, gains=gains, deltas=deltas)
+    order, gains, deltas, lengths = greedy_stack(pi[None], dm[None], lam=lam)
+    return RefinedTopic(order[0].tolist(), gains[0].tolist(), deltas[0, : lengths[0]].tolist())
 
 
-def cut_point(deltas: Sequence[float], margin: float = DEFAULT_MARGIN) -> int:
-    """Earliest step whose relative drop is within margin of the peak drop.
-
-    margin = 0 degenerates to the argmax itself. The returned index t means
-    "keep selections 0..t inclusive".
+def cut_stack(deltas: np.ndarray, lengths: np.ndarray, margin: float = DEFAULT_MARGIN) -> np.ndarray:
+    """Per row t, the earliest step whose relative drop is within margin of
+    the peak of its first lengths[t] drops. margin = 0 degenerates to the
+    argmax itself. An index t means "keep selections 0..t inclusive".
     """
-    if len(deltas) == 0:
+    if np.any(lengths == 0):
         raise InputError("cannot cut an empty gain-drop trace")
     if margin < 0.0:
         raise InputError(f"margin must be nonnegative, got {margin}")
+    arr = np.where(np.arange(deltas.shape[-1]) < lengths[:, None], deltas, -np.inf)
+    return (arr >= arr.max(axis=-1, keepdims=True) - margin).argmax(axis=-1)
+
+
+def cut_point(deltas: Sequence[float], margin: float = DEFAULT_MARGIN) -> int:
+    """cut_stack of one gain-drop trace."""
     arr = np.asarray(deltas, dtype=float)
-    peak = float(arr.max())
-    return int(np.argmax(arr >= peak - margin))
+    return int(cut_stack(arr[None], np.array([len(arr)]), margin=margin)[0])
 
 
 def apply_cut(refined: RefinedTopic, margin: float = DEFAULT_MARGIN) -> RefinedTopic:

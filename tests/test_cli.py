@@ -412,3 +412,29 @@ def test_cli_import_leaves_csgraph_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command", ["refine", "run", "eval"])
+def test_negative_max_fppt_exits_one(capsys, command):
+    assert main([command, "--max-fppt", "-1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"error: hotmine {command}: argument --max-fppt: must be a non-negative int, got '-1'"
+    ]
+
+
+def test_eval_max_fppt_zero_is_accepted_and_negative_writes_nothing(corpus, tmp_path, capsys):
+    def scores(prefix, max_fppt):
+        return main([
+            "eval",
+            "--detections", str(corpus / "truth.txt"),
+            "--truth", str(corpus / "truth.txt"),
+            "--n", "60",
+            "--out-prefix", str(tmp_path / prefix),
+            "--max-fppt", max_fppt,
+        ])
+
+    assert scores("zero", "0") == 0
+    assert (tmp_path / "zero_accuracy.csv").is_file()
+    assert scores("negative", "-1") == 1
+    assert not (tmp_path / "negative_accuracy.csv").exists()
