@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import scipy.sparse as sp
-
 from .errors import InputError
 from .graph import SimilarityGraph
 
@@ -63,7 +61,7 @@ def cascade_candidates(
     Singletons are dropped because a one-webpage topic carries no edges and
     would always sit at zero weight downstream.
     """
-    if g.n == 0 or g.adjacency.nnz == 0:
+    if g.n == 0 or len(g.data) == 0:
         raise InputError("cascade requires a graph with at least one edge")
     thresholds = [float(t) for t in thresholds]
     if not thresholds:
@@ -73,7 +71,8 @@ def cascade_candidates(
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise InputError("thresholds must be strictly increasing")
 
-    # imported here: no other stage needs csgraph, and it slows every start
+    # imported here: no other stage needs scipy, and it slows every start
+    import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
 
     out: list[TopicCandidate] = []

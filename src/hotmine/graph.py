@@ -5,20 +5,21 @@ Gaussian kernel, sparsified to k-nearest-neighbor graphs, and mixed into a
 single multimodal graph whose edge set is the union of the two inputs and
 whose weights are the per-edge average (a missing edge contributes zero).
 
-Matrices and graphs are both CSR: every stage costs time and memory in
-proportion to the stored nonzeros, never n x n. Both are exchanged on disk
-in a plain triplet text format (see load_similarity).
+Matrices and graphs are both held as canonical CSR arrays (indptr,
+indices, data) in plain numpy: every stage costs time and memory in
+proportion to the stored nonzeros, never n x n, and no stage imports scipy.
+Where two entry sets meet (a transpose, a union), entries are addressed by
+their row-major int64 key i*n + j. Both are exchanged on disk in a plain
+triplet text format (see load_similarity).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
-from typing import NoReturn, TextIO
+from typing import Any, Callable, NoReturn, TextIO
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InputError
 
@@ -26,82 +27,129 @@ SYMMETRY_TOL = 1e-9
 _TRIPLET = np.dtype([("i", np.int32), ("j", np.int32), ("v", np.float64)])
 
 
-def _checked(matrix: np.ndarray | sp.spmatrix, what: str, tol: float) -> sp.csr_matrix:
-    """A CSR copy with duplicates summed, checked to be square and symmetric
-    within tol, with finite values in [0, 1] and a zero diagonal."""
-    if np.ndim(matrix) != 2:
-        raise InputError(f"{what} must be square, got shape {np.shape(matrix)}")
-    csr = sp.csr_matrix(matrix, dtype=float, copy=True)
-    csr.sum_duplicates()
-    if csr.shape[0] != csr.shape[1]:
-        raise InputError(f"{what} must be square, got shape {csr.shape}")
-    if not np.all(np.isfinite(csr.data)):
+def _keys(n: int, indptr: np.ndarray, indices: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """Int64 keys i*n + j of the stored entries (j*n + i with transpose), in
+    storage order: ascending for canonical arrays without transpose."""
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    cols = indices.astype(np.int64)
+    return cols * n + rows if transpose else rows * n + cols
+
+
+def _kept(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, keep: np.ndarray) -> tuple:
+    """CSR arrays of the entries where keep is true."""
+    if keep.all():
+        return indptr, indices, data
+    return np.concatenate(([0], np.cumsum(keep)))[indptr], indices[keep], data[keep]
+
+
+def _union(n: int, a: tuple, b: tuple, op: Callable) -> tuple:
+    """CSR arrays of op over the union of two (keys, values) entry sets, each
+    without a repeated key, a missing entry counting as zero; like scipy's
+    sparse binary operations, it stores no zero result."""
+    keys = np.sort(np.concatenate((a[0], b[0])), kind="stable")  # merges sorted runs
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    x, y = np.zeros(len(keys)), np.zeros(len(keys))
+    x[np.searchsorted(keys, a[0])], y[np.searchsorted(keys, b[0])] = a[1], b[1]
+    out = op(x, y)
+    keys, out = keys[out != 0.0], out[out != 0.0]
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    return indptr, (keys % n).astype(np.int32 if n < 2**31 else np.int64), out
+
+
+def _checked(matrix: Any, what: str, tol: float) -> tuple:
+    """Canonical CSR arrays (n, indptr, indices, data) of a dense array or a
+    scipy sparse matrix, duplicates summed and zeros dropped, checked to be
+    square and symmetric within tol, with finite values in [0, 1] and a zero
+    diagonal."""
+    shape = np.shape(matrix)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise InputError(f"{what} must be square, got shape {shape}")
+    n = shape[0]
+    with np.errstate(invalid="ignore"):  # inf - inf; a non-finite entry fails first
+        if hasattr(matrix, "tocsr"):  # scipy sparse: its own methods, no import here
+            csr = matrix.astype(float).tocsr()
+            csr.sum_duplicates()
+            indptr, indices, data, diagonal = csr.indptr, csr.indices, csr.data, csr.diagonal()
+            asymmetry = (csr - csr.T).data
+        else:
+            dense = np.asarray(matrix, dtype=float)
+            nonzero = dense != 0.0  # row-major, as CSR stores them
+            indptr = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
+            indices = np.broadcast_to(np.arange(n, dtype=np.int32), (n, n))[nonzero]
+            data, diagonal, asymmetry = dense[nonzero], dense.diagonal(), dense - dense.T
+    if not np.all(np.isfinite(data)):
         raise InputError(f"{what} contains a non-finite entry")
-    if np.any(np.abs((csr - csr.T).data) > tol):
+    if np.any(np.abs(asymmetry) > tol):
         raise InputError(f"{what} is not symmetric within {tol:g}")
-    if np.any((csr.data < 0.0) | (csr.data > 1.0)):
+    if np.any((data < 0.0) | (data > 1.0)):
         raise InputError(f"{what} values must lie in [0, 1]")
-    if csr.diagonal().any():
+    if diagonal.any():
         raise InputError(f"{what} must have a zero diagonal (no self-loops)")
-    return csr
+    return n, *_kept(indptr, indices, data, data != 0.0)
 
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """Pairwise similarity (or affinity) matrix over n webpages.
+class _SymmetricCSR:
+    """An n x n symmetric matrix held as canonical CSR arrays: indptr, and
+    per row ascending distinct column indices and their float64 data."""
 
-    Built from a dense array or a sparse matrix and held as a canonical CSR
-    matrix: sorted indices, no duplicates, no explicit zeros. Entries live
-    in [0, 1], the diagonal is zero, and the matrix is symmetric within
-    1e-9. A zero entry means "no measured similarity".
-    """
-
-    csr: sp.csr_matrix
-
-    def __post_init__(self) -> None:
-        csr = _checked(self.csr, "similarity matrix", SYMMETRY_TOL)
-        csr.eliminate_zeros()
-        object.__setattr__(self, "csr", csr)
+    def __init__(self, matrix: Any) -> None:
+        self.n, self.indptr, self.indices, self.data = _checked(matrix, self._what, self._tol)
 
     @classmethod
-    def _trusted(cls, csr: sp.csr_matrix) -> SimilarityMatrix:
-        """Wrap a CSR matrix that is canonical and valid by construction."""
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "csr", csr)
-        return matrix
+    def _trusted(cls, n: int, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, **attrs: Any):
+        """Wrap CSR arrays that are canonical and valid by construction."""
+        obj = object.__new__(cls)
+        vars(obj).update(n=n, indptr=indptr, indices=indices, data=data, **attrs)
+        return obj
 
-    @property
-    def n(self) -> int:
-        return self.csr.shape[0]
+    def keys(self) -> np.ndarray:
+        """Ascending row-major keys i*n + j of the stored entries."""
+        return _keys(self.n, self.indptr, self.indices)
 
     @property
     def values(self) -> np.ndarray:
         """A dense n x n copy."""
-        return self.csr.toarray()
+        out = np.zeros((self.n, self.n))
+        out.ravel()[self.keys()] = self.data
+        return out
+
+    def _scipy(self):
+        import scipy.sparse as sp  # only this view needs scipy
+
+        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
 
 
-@dataclass(frozen=True)
-class SimilarityGraph:
+class SimilarityMatrix(_SymmetricCSR):
+    """Pairwise similarity (or affinity) matrix over n webpages.
+
+    Built from a dense array or a scipy sparse matrix and held as canonical
+    CSR arrays: sorted indices, no duplicates, no explicit zeros. Entries
+    live in [0, 1], the diagonal is zero, and the matrix is symmetric within
+    1e-9. A zero entry means "no measured similarity".
+    """
+
+    _what, _tol = "similarity matrix", SYMMETRY_TOL
+    csr = property(_SymmetricCSR._scipy, doc="A scipy CSR matrix on the same arrays.")
+
+
+class SimilarityGraph(_SymmetricCSR):
     """Sparse undirected webpage graph with weights in [0, 1].
 
     kind records provenance ("visual", "textual" or "mixed") and is carried
     through mixing so downstream stages can label their reports.
     """
 
-    adjacency: sp.csr_matrix
-    kind: str = "mixed"
+    _what, _tol = "graph", 0.0
+    adjacency = property(_SymmetricCSR._scipy, doc="A scipy CSR matrix on the same arrays.")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "adjacency", _checked(self.adjacency, "graph", 0.0))
-
-    @property
-    def n(self) -> int:
-        return self.adjacency.shape[0]
+    def __init__(self, adjacency: Any, kind: str = "mixed") -> None:
+        super().__init__(adjacency)
+        self.kind = kind
 
     @property
     def edge_count(self) -> int:
         """Number of undirected edges."""
-        return self.adjacency.nnz // 2
+        return len(self.data) // 2
 
 
 def gaussian_affinity(
@@ -114,8 +162,7 @@ def gaussian_affinity(
     to the mean squared value of the nonzero off-diagonal entries, which
     keeps the exponent at order one regardless of the input scale.
     """
-    csr = w.csr
-    x = csr.data**2
+    x = w.data**2
     if sigma2 is None:
         if not x.size:
             raise InputError("cannot infer sigma2 from a matrix with no nonzero entries")
@@ -126,11 +173,8 @@ def gaussian_affinity(
     np.negative(x, out=x)
     x /= sigma2
     np.exp(x, out=x)
-    out = sp.csr_matrix((x, csr.indices, csr.indptr), shape=csr.shape)
-    if not x.all():  # exp underflowed; copy, as the indices are the input's
-        out = out.copy()
-        out.eliminate_zeros()
-    return SimilarityMatrix._trusted(out)
+    # an underflowed exp is no affinity
+    return SimilarityMatrix._trusted(w.n, *_kept(w.indptr, w.indices, x, x != 0.0))
 
 
 def knn_sparsify(affinity: SimilarityMatrix, k: int, kind: str = "mixed") -> SimilarityGraph:
@@ -145,9 +189,9 @@ def knn_sparsify(affinity: SimilarityMatrix, k: int, kind: str = "mixed") -> Sim
         raise InputError(f"k must be an integer, got {k!r}")
     if k < 1 or k >= n:
         raise InputError(f"k must satisfy 1 <= k < n (n={n}), got {k}")
-    a = affinity.csr
+    a = affinity
     degree = np.diff(a.indptr)
-    keep = np.ones(a.nnz, dtype=bool)
+    keep = np.ones(len(a.data), dtype=bool)
     # Rows of one degree stack into a (rows x degree) block without padding;
     # there are at most sqrt(2 nnz) distinct degrees.
     for d in np.unique(degree[degree > k]):
@@ -161,8 +205,11 @@ def knn_sparsify(affinity: SimilarityMatrix, k: int, kind: str = "mixed") -> Sim
         keep[pos] = above | (ties & (np.cumsum(ties, axis=1) <= room))
     # every stored affinity is > 0, so each row keeps min(degree, k) entries
     indptr = np.concatenate(([0], np.cumsum(np.minimum(degree, k))))
-    directed = sp.csr_matrix((a.data[keep], a.indices[keep], indptr), shape=(n, n))
-    return SimilarityGraph(directed.maximum(directed.T), kind=kind)
+    indices, data = a.indices[keep], a.data[keep]
+    transposed = _keys(n, indptr, indices, transpose=True)
+    by_key = np.argsort(transposed)  # sorted needles search faster
+    union = _union(n, (_keys(n, indptr, indices), data), (transposed[by_key], data[by_key]), np.maximum)
+    return SimilarityGraph._trusted(n, *union, kind=kind)
 
 
 def mix_graphs(g_vis: SimilarityGraph, g_txt: SimilarityGraph) -> SimilarityGraph:
@@ -176,8 +223,8 @@ def mix_graphs(g_vis: SimilarityGraph, g_txt: SimilarityGraph) -> SimilarityGrap
         raise InputError(
             f"graphs disagree on node count: {g_vis.n} vs {g_txt.n}"
         )
-    mixed = (g_vis.adjacency + g_txt.adjacency) * 0.5
-    return SimilarityGraph(mixed, kind="mixed")
+    indptr, indices, data = _union(g_vis.n, (g_vis.keys(), g_vis.data), (g_txt.keys(), g_txt.data), np.add)
+    return SimilarityGraph._trusted(g_vis.n, indptr, indices, data * 0.5, kind="mixed")
 
 
 # ---------------------------------------------------------------------------
@@ -185,19 +232,14 @@ def mix_graphs(g_vis: SimilarityGraph, g_txt: SimilarityGraph) -> SimilarityGrap
 # stored pair with 0-based i < j; the lower triangle is implied by symmetry.
 
 
-def _save_triplets(adjacency: sp.csr_matrix, path: str | Path) -> None:
-    """Write the upper triangle of a CSR matrix with sorted indices."""
-    coo = adjacency.tocoo()
-    upper = coo.row < coo.col
-    rows, cols = coo.row[upper].tolist(), coo.col[upper].tolist()
-    lines = [f"{adjacency.shape[0]} {len(rows)}"]
-    lines.extend(map("{} {} {!r}".format, rows, cols, coo.data[upper].tolist()))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def save_similarity(matrix: SimilarityMatrix, path: str | Path) -> None:
+def save_similarity(matrix: _SymmetricCSR, path: str | Path) -> None:
     """Write a matrix in triplet format (upper triangle of nonzeros)."""
-    _save_triplets(matrix.csr, path)
+    rows = np.repeat(np.arange(matrix.n), np.diff(matrix.indptr))
+    upper = rows < matrix.indices
+    rows, cols = rows[upper].tolist(), matrix.indices[upper].tolist()
+    lines = [f"{matrix.n} {len(rows)}"]
+    lines.extend(map("{} {} {!r}".format, rows, cols, matrix.data[upper].tolist()))
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_similarity(path: str | Path) -> SimilarityMatrix:
@@ -220,11 +262,10 @@ def load_similarity(path: str | Path) -> SimilarityMatrix:
                 raise InputError(f"{path}: header values out of range")
             if n >= 2**31:  # page indices are 32-bit
                 raise InputError(f"{path}: header n={n} does not fit in memory (n < 2**31)")
-            upper = _read_upper(fh, n, nnz)
-            if upper is None:
+            arrays = _read_symmetric(fh, n, nnz)
+            if arrays is None:
                 _raise_first_bad_line(fh, path, n, nnz)
-        # the sum stores no zeros: a 0.0 triplet is no edge
-        return SimilarityMatrix._trusted(upper + upper.T)
+        return SimilarityMatrix._trusted(n, *arrays)
     except UnicodeDecodeError as exc:
         # the codec's byte position counts from a read buffer, not the file
         raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
@@ -232,9 +273,10 @@ def load_similarity(path: str | Path) -> SimilarityMatrix:
         raise InputError(f"{path}: the matrix does not fit in memory") from exc
 
 
-def _read_upper(fh: TextIO, n: int, nnz: int) -> sp.csr_matrix | None:
-    """The body's upper triangle, parsed in one call and checked as arrays;
-    None if it does not parse or a check fails."""
+def _read_symmetric(fh: TextIO, n: int, nnz: int) -> tuple | None:
+    """CSR arrays of upper + upper.T from the body's upper triangle, parsed
+    in one call and checked as arrays; None if the body does not parse or a
+    check fails. Each large array is freed once used, to keep the peak low."""
     try:
         with warnings.catch_warnings():
             # a body without data lines is valid when nnz is 0
@@ -246,8 +288,29 @@ def _read_upper(fh: TextIO, n: int, nnz: int) -> sp.csr_matrix | None:
     valid = (0 <= i) & (i < j) & (j < n) & (v >= 0.0) & (v <= 1.0)
     if len(rows) != nnz or not valid.all():
         return None
-    upper = sp.csr_matrix((v, (i, j)), shape=(n, n))  # sums repeated pairs
-    return upper if upper.nnz == nnz else None
+    # sorted row-major keys i*n + j show a repeated pair as equal neighbours
+    keys = i.astype(np.int64) * n + j
+    order = np.argsort(keys)
+    keys = keys[order]
+    if np.any(keys[1:] == keys[:-1]):
+        return None
+    del keys
+    i, j, v = i[order], j[order], v[order]
+    del rows, order
+    # Row r of upper + upper.T is column r of the upper triangle, rows
+    # ascending, then row r of it: the two halves interleave without a sort.
+    lower, upper = np.bincount(j, minlength=n), np.bincount(i, minlength=n)
+    in_upper = np.repeat(np.tile([False, True], n), np.column_stack((lower, upper)).ravel())
+    by_column = np.argsort(j, kind="stable")
+    lower_i, lower_v = i[by_column], v[by_column]
+    del i, by_column
+    indices = np.empty(len(in_upper), dtype=np.int32)
+    indices[in_upper], indices[~in_upper] = j, lower_i
+    del j, lower_i
+    data = np.empty(len(in_upper))
+    data[in_upper], data[~in_upper] = v, lower_v
+    indptr = np.concatenate(([0], np.cumsum(lower + upper)))
+    return _kept(indptr, indices, data, data != 0.0)  # a 0.0 triplet is no edge
 
 
 def _raise_first_bad_line(fh: TextIO, path: Path, n: int, nnz: int) -> NoReturn:
@@ -280,8 +343,8 @@ def _raise_first_bad_line(fh: TextIO, path: Path, n: int, nnz: int) -> NoReturn:
 
 def save_graph(graph: SimilarityGraph, path: str | Path) -> None:
     """Write a graph's adjacency in the same triplet format as matrices."""
-    _save_triplets(graph.adjacency, path)
+    save_similarity(graph, path)
 
 
 def load_graph(path: str | Path, kind: str = "mixed") -> SimilarityGraph:
-    return SimilarityGraph(load_similarity(path).csr, kind=kind)
+    return SimilarityGraph._trusted(**vars(load_similarity(path)), kind=kind)

@@ -15,8 +15,8 @@ over the covered pairs, fitted with the classic multiplicative update
 which never leaves the nonnegative orthant and never decreases the
 likelihood. A covered pair with a_ij = 0 adds nothing to the numerator, and
 |pairs(C_k)| = s_k(s_k-1)/2 in closed form, so the fit runs over the covered
-edges only, read from the CSR adjacency; the -w_ij terms of the likelihood
-sum to -sum_k mu_k |pairs(C_k)|. A candidate's interestingness is its weight
+edges only, looked up in the graph's CSR arrays; the -w_ij terms of the
+likelihood sum to -sum_k mu_k |pairs(C_k)|. A candidate's interestingness is its weight
 times its size, so a small dense fragment can outrank a big sparse blob of
 noise.
 """
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .candidates import TopicCandidate
 from .errors import ConvergenceError, InputError
@@ -55,15 +54,24 @@ class RankedTopicList:
 
 
 class _Coverage:
-    """Covered-edge view of a candidate list against a graph."""
+    """Covered-edge view of a candidate list against a graph.
+
+    Its (edge, candidate) entries run in ascending pair-key order, one
+    edge's candidates ascending, so that both products below add each
+    output's terms in the order of the CSC/CSR matvecs they replace.
+    """
 
     def __init__(self, g: SimilarityGraph, candidates: Sequence[TopicCandidate]):
         if not candidates:
             raise InputError("no candidates to weight")
         n = g.n
-        keys: list[np.ndarray] = []
+        sizes = np.asarray([cand.size for cand in candidates], dtype=np.int64)
+        n_pairs = sizes * (sizes - 1) // 2
+        ends = np.cumsum(n_pairs)
+        keys = np.empty(int(ends[-1]), dtype=np.int64)
         triu: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # per candidate size
-        for cand in candidates:
+        holders: dict[int, list[int]] = {}  # page -> candidates holding it
+        for k, (cand, end) in enumerate(zip(candidates, ends.tolist())):
             members = np.asarray(cand.sorted_members(), dtype=np.int64)
             if members[-1] >= n:
                 raise InputError(f"candidate member {members[-1]} outside graph (n={n})")
@@ -71,30 +79,58 @@ class _Coverage:
             if len(members) not in triu:
                 triu[len(members)] = np.triu_indices(len(members), 1)
             iu, ju = triu[len(members)]
-            keys.append(members[iu] * n + members[ju])
-        n_pairs = np.asarray([len(k) for k in keys])
-        pairs, first, inverse = np.unique(
-            np.concatenate(keys), return_index=True, return_inverse=True
-        )
-        if len(pairs) == 0:
+            keys[end - len(iu) : end] = members[iu] * n + members[ju]
+            for page in cand.members:
+                holders.setdefault(page, []).append(k)
+        if not len(keys):
             raise InputError("no candidate covers any edge of the graph")
-        a = np.asarray(g.adjacency[pairs // n, pairs % n]).ravel()
+        # One stable sort: each distinct pair heads a run of equal keys that
+        # lists its incidences in candidate order.
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        head = np.concatenate(([True], keys[1:] != keys[:-1]))
+        pairs, starts = keys[head], np.flatnonzero(head)
+        del keys
+        graph_keys = g.keys()  # the needles: fewer than the pairs on big inputs
+        at = np.minimum(np.searchsorted(pairs, graph_keys), len(pairs) - 1)
+        hit = pairs[at] == graph_keys
+        a = np.zeros(len(pairs))
+        a[at[hit]] = g.data[hit]
         # Summing in first-appearance order, zeros included, keeps the bits
         # of the starting guess; any other order rounds differently.
-        self.mu0 = float(a[np.argsort(first)].sum()) / float(n_pairs.sum())
+        first, in_first_order = np.zeros(len(order), dtype=bool), np.zeros(len(order))
+        first[order[starts]], in_first_order[order[starts]] = True, a
+        self.mu0 = float(in_first_order[first].sum()) / float(ends[-1])
         edge = a > 0.0
         if not edge.any():
             raise InputError("no candidate covers any edge of the graph")
-        # membership: covered edges x candidates, one column per candidate;
-        # each column lists its edges in lexicographic order
-        kept = edge[inverse]
-        rows = (np.cumsum(edge) - 1)[inverse[kept]]
-        owner = np.repeat(np.arange(len(candidates)), n_pairs)[kept]
-        self.membership = sp.csc_matrix(
-            (np.ones(len(rows)), (rows, owner)), shape=(int(edge.sum()), len(candidates))
-        )
+        run_lengths = np.diff(starts, append=len(order))
+        self.rows = np.repeat(np.arange(int(edge.sum())), run_lengths[edge])
+        self.owner = np.searchsorted(ends, order[np.repeat(edge, run_lengths)], side="right")
+        # Pages held by the same candidates form a class. An edge's
+        # candidates, and so its mean, depend only on its ends' classes: each
+        # pair of classes takes its entries from its first edge.
+        classes: dict[tuple[int, ...], int] = {}
+        page_class = np.zeros(n, dtype=np.int64)
+        page_class[list(holders)] = [classes.setdefault(tuple(h), len(classes)) for h in holders.values()]
+        edges = pairs[edge]
+        class_pair = page_class[edges // n] * len(classes) + page_class[edges % n]
+        _, firsts, self.edge_class = np.unique(class_pair, return_index=True, return_inverse=True)
+        representative = np.isin(self.rows, firsts)
+        self.class_rows = self.edge_class[self.rows[representative]]
+        self.class_owner = self.owner[representative]
         self.a = a[edge]
         self.pair_counts = n_pairs.astype(float)
+
+    def mean(self, mu: np.ndarray) -> np.ndarray:
+        """The model mean of each covered edge, membership @ mu."""
+        by_class = np.bincount(self.class_rows, weights=mu[self.class_owner])
+        return by_class[self.edge_class]
+
+    def numerator(self, ratio: np.ndarray) -> np.ndarray:
+        """Each candidate's sum of ratio over its edges, membership.T @ ratio."""
+        weights = np.take(ratio, self.rows)
+        return np.bincount(self.owner, weights=weights, minlength=len(self.pair_counts))
 
     def initial_weights(self) -> np.ndarray:
         mu = np.full(len(self.pair_counts), self.mu0)
@@ -103,7 +139,7 @@ class _Coverage:
 
     def log_likelihood(self, mu: np.ndarray) -> float:
         with np.errstate(divide="ignore"):
-            logs = np.log(self.membership @ mu)
+            logs = np.log(self.mean(mu))
         return float(np.dot(self.a, logs) - np.dot(self.pair_counts, mu))
 
 
@@ -127,9 +163,8 @@ def iterate_weights(
     mu = cov.initial_weights()
     counts = np.maximum(cov.pair_counts, 1.0)
     for _ in range(max_iter):
-        w = cov.membership @ mu
-        ratio = cov.a / np.maximum(w, MEAN_GUARD)
-        mu_new = mu * (cov.membership.T @ ratio) / counts
+        ratio = cov.a / np.maximum(cov.mean(mu), MEAN_GUARD)
+        mu_new = mu * cov.numerator(ratio) / counts
         change = np.max(np.abs(mu_new - mu) / np.maximum(mu, MEAN_GUARD))
         mu = mu_new
         yield mu.copy()

@@ -402,16 +402,38 @@ def test_version_flag():
     assert exc.value.code == 0
 
 
-def test_cli_import_leaves_csgraph_unloaded():
-    # only cascade_candidates needs scipy.sparse.csgraph; importing it at
-    # start-up slows every command
+LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def child_output(code):
     src = str(Path(hotmine.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, hotmine.cli; print('scipy.sparse.csgraph' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip().splitlines()
+
+
+def test_cli_import_leaves_csgraph_unloaded():
+    # only `hotmine candidates` and the .csr/.adjacency views need scipy;
+    # importing it at start-up slows every command
+    assert child_output(f"import sys, hotmine.cli; print({LOADED_SCIPY})") == ["[]"]
+
+
+@pytest.mark.parametrize("kernel", [False, True], ids=["raw", "kernel"])
+def test_run_path_imports_no_scipy(corpus, tmp_path, kernel):
+    args = [
+        "run",
+        "--vis", str(corpus / "vis.sim"),
+        "--txt", str(corpus / "txt.sim"),
+        "--candidates", str(corpus / "candidates.txt"),
+        "--truth", str(corpus / "truth.txt"),
+        "--out-prefix", str(tmp_path / "out"),
+        *(COMMON[1:] if kernel else COMMON),  # COMMON[0] turns the kernel off
+    ]
+    code = f"import sys; from hotmine.cli import main; print(main({args!r})); print({LOADED_SCIPY})"
+    assert child_output(code)[-2:] == ["0", "[]"]
+    assert (tmp_path / "out_topics.txt").is_file()
 
 
 @pytest.mark.parametrize("command", ["refine", "run", "eval"])

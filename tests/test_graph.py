@@ -16,6 +16,8 @@ from hotmine.errors import InputError
 from hotmine.graph import (
     SimilarityGraph,
     SimilarityMatrix,
+    _keys,
+    _union,
     gaussian_affinity,
     knn_sparsify,
     load_graph,
@@ -662,3 +664,157 @@ def test_graph_stage_scales_linearly_in_nonzeros(tmp_path):
     assert memory_slope <= 1.3, (
         f"memory slope {memory_slope:.3f}, R^2 {memory_r2:.4f}, peak bytes per n {peak}"
     )
+
+
+# --------------------------------------------------------------- scipy references
+# The graph stage no longer imports scipy. Each numpy operation that replaced
+# a scipy one must give the same indptr/indices/data, bit for bit, as the
+# scipy code it replaced; scipy stays installed as the reference.
+
+
+TIES = st.sampled_from([0.25, 0.5, 1.0])
+
+
+@st.composite
+def directed_entries(draw, symmetric=False):
+    """An n x n scipy CSR matrix (n = 1 to 7) with values in (0, 1]: empty
+    rows, single entries and exact ties are common; zero diagonal."""
+    n = draw(st.integers(1, 7))
+    cells = [(i, j) for i in range(n) for j in range(n) if (i < j if symmetric else i != j)]
+    chosen = draw(st.lists(st.sampled_from(cells), unique=True, max_size=len(cells))) if cells else []
+    values = draw(st.lists(st.one_of(TIES, st.floats(1e-3, 1.0)), min_size=len(chosen), max_size=len(chosen)))
+    rows, cols = np.array([c[0] for c in chosen], dtype=int), np.array([c[1] for c in chosen], dtype=int)
+    upper = sp.csr_matrix((np.array(values, dtype=float), (rows, cols)), shape=(n, n))
+    return upper + upper.T if symmetric else upper
+
+
+def same_csr(got, want):
+    """got: (indptr, indices, data) arrays; want: a scipy CSR matrix."""
+    want = want.tocsr()
+    for part, array in zip(("indptr", "indices", "data"), got):
+        assert np.array_equal(array, getattr(want, part)), part
+
+
+def reference_checked(matrix, what, tol):
+    """The scipy validation of dense and sparse constructor input."""
+    csr = sp.csr_matrix(matrix, dtype=float, copy=True)
+    csr.sum_duplicates()
+    if csr.shape[0] != csr.shape[1]:
+        raise InputError(f"{what} must be square, got shape {csr.shape}")
+    if not np.all(np.isfinite(csr.data)):
+        raise InputError(f"{what} contains a non-finite entry")
+    if np.any(np.abs((csr - csr.T).data) > tol):
+        raise InputError(f"{what} is not symmetric within {tol:g}")
+    if np.any((csr.data < 0.0) | (csr.data > 1.0)):
+        raise InputError(f"{what} values must lie in [0, 1]")
+    if csr.diagonal().any():
+        raise InputError(f"{what} must have a zero diagonal (no self-loops)")
+    csr.eliminate_zeros()
+    return csr
+
+
+@given(
+    case=directed_entries(),
+    symmetrize=st.booleans(),
+    spoil=st.sampled_from([None, np.nan, np.inf, 1.5, -0.5, 1e-12, "diagonal"]),
+    sparse=st.booleans(),
+)
+@settings(max_examples=400, deadline=None)
+def test_constructors_match_scipy_validation(case, symmetrize, spoil, sparse):
+    dense = (case + case.T).toarray() if symmetrize else case.toarray()
+    if spoil == "diagonal":
+        dense[0, 0] = 0.5
+    elif spoil is not None and dense.size > 1:
+        dense[0, -1] += spoil
+    source = sp.coo_matrix(dense) if sparse else dense
+    for cls, what, tol in ((SimilarityMatrix, "similarity matrix", 1e-9), (SimilarityGraph, "graph", 0.0)):
+        try:
+            want = reference_checked(source, what, tol)
+        except InputError as exc:
+            with pytest.raises(InputError) as caught:
+                cls(source)
+            assert str(caught.value) == str(exc)
+            continue
+        got = cls(source)
+        same_csr((got.indptr, got.indices, got.data), want)
+
+
+@given(case=directed_entries())
+@settings(max_examples=300, deadline=None)
+def test_transposed_keys_match_scipy_transpose(case):
+    n = case.shape[0]
+    keys = _keys(n, case.indptr, case.indices, transpose=True)
+    order = np.argsort(keys, kind="stable")
+    want = case.T.tocsr()
+    assert np.array_equal(keys[order], _keys(n, want.indptr, want.indices))
+    assert np.array_equal(case.data[order], want.data)
+
+
+@given(case=directed_entries())
+@settings(max_examples=300, deadline=None)
+def test_union_maximum_matches_scipy(case):
+    n = case.shape[0]
+    directed = (_keys(n, case.indptr, case.indices), case.data)
+    transposed = (_keys(n, case.indptr, case.indices, transpose=True), case.data)
+    same_csr(_union(n, directed, transposed, np.maximum), case.maximum(case.T))
+
+
+@given(a=directed_entries(symmetric=True), b=directed_entries(symmetric=True))
+@settings(max_examples=300, deadline=None)
+def test_mix_matches_scipy_sum(a, b):
+    if a.shape != b.shape:
+        b = sp.csr_matrix(a.shape)
+    ga, gb = SimilarityGraph(a), SimilarityGraph(b)
+    mixed = mix_graphs(ga, gb)
+    same_csr((mixed.indptr, mixed.indices, mixed.data), (a + b) * 0.5)
+    assert mixed.edge_count == ((a + b) * 0.5).nnz // 2
+
+
+def reference_save(csr, path):
+    """The scipy writer: the upper triangle of the COO form."""
+    coo = csr.tocoo()
+    upper = coo.row < coo.col
+    rows, cols = coo.row[upper].tolist(), coo.col[upper].tolist()
+    lines = [f"{csr.shape[0]} {len(rows)}"]
+    lines.extend(map("{} {} {!r}".format, rows, cols, coo.data[upper].tolist()))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+@given(case=directed_entries(symmetric=True))
+@settings(max_examples=200, deadline=None)
+def test_writer_matches_scipy_writer(tmp_path_factory, case):
+    folder = tmp_path_factory.mktemp("writer")
+    save_similarity(SimilarityMatrix(case), folder / "got.sim")
+    reference_save(case, folder / "want.sim")
+    assert (folder / "got.sim").read_bytes() == (folder / "want.sim").read_bytes()
+
+
+@st.composite
+def triplet_bodies(draw):
+    """Upper-triangle triplets in any order, now and then a pair twice or a
+    0.0 value; n = 1 to 7."""
+    n = draw(st.integers(1, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+    values = draw(st.lists(st.one_of(TIES, st.just(0.0), st.floats(0.0, 1.0)), min_size=len(chosen), max_size=len(chosen)))
+    return n, [(i, j, v) for (i, j), v in zip(chosen, values)]
+
+
+@given(body=triplet_bodies())
+@example(body=(1, []))
+@example(body=(4, [(2, 3, 0.5), (0, 1, 0.5), (0, 3, 0.5), (1, 2, 0.25)]))
+@example(body=(3, [(1, 2, 0.5), (0, 1, 0.0), (1, 2, 0.5)]))
+@settings(max_examples=400, deadline=None)
+def test_loader_matches_scipy_assembly(tmp_path_factory, body):
+    n, triplets = body
+    path = tmp_path_factory.mktemp("assembly") / "m.sim"
+    path.write_text("\n".join([f"{n} {len(triplets)}", *(f"{i} {j} {v!r}" for i, j, v in triplets)]) + "\n")
+    i, j, v = (np.array([t[k] for t in triplets], dtype=float if k == 2 else int) for k in range(3))
+    upper = sp.csr_matrix((v, (i, j)), shape=(n, n))  # sums a repeated pair
+    if upper.nnz != len(triplets):
+        with pytest.raises(InputError, match="duplicate pair"):
+            load_similarity(path)
+        return
+    loaded = load_similarity(path)
+    same_csr((loaded.indptr, loaded.indices, loaded.data), upper + upper.T)
+    assert loaded.indices.dtype == np.int32

@@ -13,6 +13,7 @@ from hotmine.candidates import TopicCandidate
 from hotmine.errors import ConvergenceError, InputError
 from hotmine.ranking import (
     MEAN_GUARD,
+    _Coverage,
     apply_weights,
     estimate_weights,
     iterate_weights,
@@ -258,6 +259,53 @@ def test_fit_matches_pair_enumerating_reference(instance, max_iter, tol):
             estimate_weights(g, cands, max_iter=max_iter, tol=tol)
     else:
         assert np.array_equal(estimate_weights(g, cands, max_iter=max_iter, tol=tol), expected[-1])
+
+
+def reference_coverage(g, candidates):
+    """The scipy coverage build that the one-sort build replaced: np.unique
+    over the concatenated pair keys, a lookup in the adjacency matrix, and
+    a CSC membership matrix of covered edges x candidates."""
+    n = g.n
+    keys = []
+    for cand in candidates:
+        members = np.asarray(cand.sorted_members(), dtype=np.int64)
+        iu, ju = np.triu_indices(len(members), 1)
+        keys.append(members[iu] * n + members[ju])
+    n_pairs = np.asarray([len(k) for k in keys])
+    pairs, first, inverse = np.unique(np.concatenate(keys), return_index=True, return_inverse=True)
+    a = np.asarray(g.adjacency[pairs // n, pairs % n]).ravel()
+    mu0 = float(a[np.argsort(first)].sum()) / float(n_pairs.sum())
+    edge = a > 0.0
+    kept = edge[inverse]
+    rows = (np.cumsum(edge) - 1)[inverse[kept]]
+    owner = np.repeat(np.arange(len(candidates)), n_pairs)[kept]
+    shape = (int(edge.sum()), len(candidates))
+    return mu0, a[edge], sp.csc_matrix((np.ones(len(rows)), (rows, owner)), shape=shape)
+
+
+VECTOR_ENTRIES = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(1e-6, 10.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fit_instances(), st.data())
+def test_coverage_matches_scipy_build(instance, data):
+    """Pair lookup, starting guess and both membership products against
+    the scipy code, bit for bit; ties and zeros are common in the vectors."""
+    g, cands = instance
+    try:
+        reference_fit(g, cands, 1, 1e-6)
+    except InputError:
+        with pytest.raises(InputError):
+            _Coverage(g, cands)
+        return
+    mu0, a, membership = reference_coverage(g, cands)
+    cov = _Coverage(g, cands)
+    assert cov.mu0 == mu0
+    assert np.array_equal(cov.a, a)
+    mu = np.array(data.draw(st.lists(VECTOR_ENTRIES, min_size=len(cands), max_size=len(cands))))
+    ratio = np.array(data.draw(st.lists(VECTOR_ENTRIES, min_size=len(a), max_size=len(a))))
+    assert np.array_equal(cov.mean(mu), membership @ mu)
+    assert np.array_equal(cov.numerator(ratio), membership.T @ ratio)
 
 
 # --------------------------------------------------------------- ranking
