@@ -8,16 +8,19 @@ union reaches tau. Absorbed candidates are consumed, so every input ends up
 inside exactly one coarse topic. A final non-maximum-suppression pass drops
 coarse topics that mostly duplicate a better-ranked one.
 
-The scan evaluates at most K * window Jaccard overlaps for K candidates.
-Suppression looks each page of a topic up in a page -> kept-topic index, so
-its cost is the pages of each topic times the kept topics holding them, not
-(coarse topics)^2.
+A candidate sharing no page with the union has Jaccard 0 < tau, so the scan
+visits only those sharing one, through a page -> position index of the
+window: it costs the window's page incidences plus the overlapping in-window
+pairs, not K * window. Suppression looks each page of a topic up in a page ->
+kept-topic index, so its cost is the pages of each topic times the kept
+topics holding them, not (coarse topics)^2.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -48,22 +51,41 @@ def bundle(
     if not (0.0 < tau <= 1.0):
         raise InputError(f"tau must lie in (0, 1], got {tau}")
     items = ranked.items
+    if not all(item.members for item in items):
+        raise InputError("bundle requires nonempty member sets")
     count = len(items)
     consumed = [False] * count
+    holders: dict[int, list[int]] = {}  # page -> window positions, ascending
     out: list[CoarseTopic] = []
     for k in range(count):
+        # window k+1..k+window: 0..window enter first, then k + window; k leaves
+        for j in range(k + window if k else 0, min(count, k + window + 1)):
+            for page in items[j].members:
+                holders.setdefault(page, []).append(j)
+        for page in items[k].members:
+            if rest := holders.pop(page)[1:]:
+                holders[page] = rest
         if consumed[k]:
             continue
         union = set(items[k].members)
         sources = [ranked.indices[k]]
-        for j in range(k + 1, min(count, k + window + 1)):
-            if consumed[j]:
-                continue
+        # unconsumed window positions sharing a page with the union, in rank
+        # order; absorbing j pushes the holders of its new pages not yet passed
+        heap = [j for page in union for j in holders.get(page, ()) if not consumed[j]]
+        heapify(heap)
+        while heap:
+            j = heappop(heap)
+            while heap and heap[0] == j:  # pushed once per shared page
+                heappop(heap)
             other = items[j].members
             # Overlap is measured against the growing union, not the seed;
             # as in nms_dedupe, |union| + |other| - inter is |union | other|.
             inter = len(union & other)
             if inter / (len(union) + len(other) - inter) >= tau:
+                for page in other - union:
+                    for i in holders.get(page, ()):
+                        if i > j and not consumed[i]:
+                            heappush(heap, i)
                 union |= other
                 sources.append(ranked.indices[j])
                 consumed[j] = True

@@ -46,10 +46,20 @@ def _union(n: int, a: tuple, b: tuple, op: Callable) -> tuple:
     """CSR arrays of op over the union of two (keys, values) entry sets, each
     without a repeated key, a missing entry counting as zero; like scipy's
     sparse binary operations, it stores no zero result."""
-    keys = np.sort(np.concatenate((a[0], b[0])), kind="stable")  # merges sorted runs
-    keys = keys[np.diff(keys, prepend=-1) != 0]
+    keys = np.concatenate((a[0], b[0]))
+    order = np.argsort(keys, kind="stable")  # merges sorted runs
+    keys = keys[order]
+    head = np.ones(len(keys), dtype=bool)  # first of its key; no int temporaries
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    keys = keys[head]
+    rank = np.cumsum(head)
+    rank -= 1  # in place, and the dels: the peak stays near a plain sort's
+    slot = np.empty_like(order)  # each entry's position among the distinct keys
+    slot[order] = rank
+    del order, rank
     x, y = np.zeros(len(keys)), np.zeros(len(keys))
-    x[np.searchsorted(keys, a[0])], y[np.searchsorted(keys, b[0])] = a[1], b[1]
+    x[slot[: len(a[0])]], y[slot[len(a[0]) :]] = a[1], b[1]
+    del slot
     out = op(x, y)
     keys, out = keys[out != 0.0], out[out != 0.0]
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)

@@ -258,32 +258,39 @@ def write_detections(result: PipelineResult, path: str | Path) -> None:
     save_candidates(result.detections, path, header=[f"stage: {result.stage}"])
 
 
-def provenance_dict(result: PipelineResult) -> dict:
-    """Everything about a run except wall-clock timings.
-
-    Timings are deliberately left out so rerunning the same config on the
-    same inputs produces byte-identical provenance.
-    """
-    return {
-        "config": result.config.to_dict(),
-        "stage": result.stage,
-        "detections": [
-            {f.name: _jsonable(getattr(det, f.name)) for f in fields(det)}
-            for det in result.detections
-        ],
-    }
-
-
-def _jsonable(value):
-    """Member sets as sorted lists, tuples as lists, anything else as is."""
-    if isinstance(value, frozenset):
-        return sorted(value)
-    return list(value) if isinstance(value, tuple) else value
-
-
 def write_provenance(result: PipelineResult, path: str | Path) -> None:
-    payload = json.dumps(provenance_dict(result), indent=2, sort_keys=True)
-    Path(path).write_text(payload + "\n")
+    """Write the config, the stage and every detection's fields, but no
+    wall-clock timings, so a rerun on the same inputs writes the same bytes:
+    those of json.dumps(record, indent=2, sort_keys=True) + "\\n", written by
+    _json as json.dumps with an indent never uses its C encoder."""
+    names = [f.name for f in fields(DetectedTopic)]
+    detections = [{name: getattr(det, name) for name in names} for det in result.detections]
+    record = {"config": result.config.to_dict(), "detections": detections, "stage": result.stage}
+    Path(path).write_text(_json(record, "") + "\n")
+
+
+def _json(value, pad: str) -> str:
+    """value as json.dumps(indent=2, sort_keys=True) writes it at indentation
+    pad, frozensets as sorted lists. A list whose first item is an int or a
+    float goes through int.__repr__ or float.__repr__ whole, so a numpy int
+    in it raises TypeError as in json.dumps; JSON spells nan NaN, inf Infinity."""
+    inner = pad + "  "
+    if isinstance(value, dict):
+        rows = [f"{json.dumps(key)}: {_json(value[key], inner)}" for key in sorted(value)]
+    elif isinstance(value, (frozenset, tuple, list)):
+        items = sorted(value) if isinstance(value, frozenset) else value
+        kind = type(items[0]) if items else None
+        if kind not in (int, float):
+            rows = [_json(item, inner) for item in items]
+        else:  # all numbers, as one row
+            row = f",\n{inner}".join(map(kind.__repr__, items))
+            rows = [row.replace("inf", "Infinity").replace("nan", "NaN")]
+    else:  # a scalar
+        return json.dumps(value)
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    if not rows:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(rows) + f"\n{pad}{brackets[1]}"
 
 
 def write_report(result: PipelineResult, stem: str | Path) -> list[Path]:

@@ -169,9 +169,29 @@ def reference_bundle(ranked, window, tau):
 @example([{1, 2}, {2, 3}], 1, 1.0 / 3.0)  # |a & b| / |a | b| == tau
 @example([{1, 2, 3}, {1, 2, 3, 4, 5}, {4, 5, 6}], 2, 0.6)
 @example([{1, 2}, {1, 2}, {1}], 2, 1.0)
+# {5,6} shares a page only with {2,5}, absorbed later at a higher position
+@example([{1, 2}, {5, 6}, {2, 5}], 2, 1.0 / 3.0)
+# positions k + window (in) and k + window + 1 (out) of seed 0
+@example([{1, 2}, {7}, {1, 2}, {1, 2}], 2, 1.0)
+# {1,2,3} shares page 3 with seed 1 but was consumed by seed 0
+@example([{1, 2}, {3, 4}, {1, 2, 3}, {3, 4}], 3, 0.5)
 def test_bundle_matches_union_set_scan(sets, window, tau):
     ranked = ranked_from_sets(sets)
     assert bundle(ranked, window=window, tau=tau) == reference_bundle(ranked, window, tau)
+
+
+@pytest.mark.parametrize("sets", [
+    [set()],
+    [set(), {1, 2}],
+    [{1, 2}, set()],
+    [{1, 2}, set(), {7, 8}],
+    [set(), set()],
+])
+def test_bundle_rejects_empty_member_set_at_any_position(sets):
+    # a TopicCandidate cannot be empty, so coarse topics stand in for the items
+    ranked = RankedTopicList(items=as_coarse(sets), indices=list(range(len(sets))))
+    with pytest.raises(InputError, match="nonempty"):
+        bundle(ranked, window=3, tau=0.4)
 
 
 # --------------------------------------------------------------- NMS

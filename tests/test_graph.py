@@ -759,6 +759,43 @@ def test_union_maximum_matches_scipy(case):
     same_csr(_union(n, directed, transposed, np.maximum), case.maximum(case.T))
 
 
+def reference_union(n, a, b, op):
+    """The union by one sort of the keys, a dedupe and two searchsorted
+    lookups of each side's keys among the distinct ones."""
+    keys = np.sort(np.concatenate((a[0], b[0])), kind="stable")
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    x, y = np.zeros(len(keys)), np.zeros(len(keys))
+    x[np.searchsorted(keys, a[0])], y[np.searchsorted(keys, b[0])] = a[1], b[1]
+    out = op(x, y)
+    keys, out = keys[out != 0.0], out[out != 0.0]
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    return indptr, (keys % n).astype(np.int32 if n < 2**31 else np.int64), out
+
+
+@st.composite
+def entry_sets(draw):
+    """n (1 to 7) and two (keys, values) entry sets over its n * n keys, each
+    key once per set, in any order; values that tie, cancel or are zero are
+    common."""
+    n = draw(st.integers(1, 7))
+
+    def entries():
+        keys = draw(st.lists(st.integers(0, n * n - 1), unique=True, max_size=n * n))
+        values = st.one_of(st.sampled_from([0.0, 0.25, -0.25, 0.5, -0.5, 1.0]), st.floats(-1.0, 1.0))
+        drawn = draw(st.lists(values, min_size=len(keys), max_size=len(keys)))
+        return np.array(keys, dtype=np.int64), np.array(drawn, dtype=float)
+
+    return n, entries(), entries()
+
+
+@given(case=entry_sets(), op=st.sampled_from([np.maximum, np.add]))
+@settings(max_examples=400, deadline=None)
+def test_union_matches_sort_and_search(case, op):
+    n, a, b = case
+    for got, want in zip(_union(n, a, b, op), reference_union(n, a, b, op)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 @given(a=directed_entries(symmetric=True), b=directed_entries(symmetric=True))
 @settings(max_examples=300, deadline=None)
 def test_mix_matches_scipy_sum(a, b):

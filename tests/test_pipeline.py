@@ -2,16 +2,22 @@
 
 import hashlib
 import json
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hotmine.candidates import TopicCandidate
 from hotmine.errors import InputError
 from hotmine.graph import save_similarity
 from hotmine.pipeline import (
+    STAGES,
+    DetectedTopic,
     PipelineConfig,
+    PipelineResult,
     build_mixed_graph,
-    provenance_dict,
     run_br,
     write_detections,
     write_provenance,
@@ -309,6 +315,31 @@ def test_write_detections_header_and_rows(tmp_path):
     assert first == result.detections[0].members
 
 
+def provenance_dict(result):
+    """The record write_provenance writes: the config, the stage and one dict
+    of DetectedTopic fields per detection, without wall-clock timings."""
+    return {
+        "config": result.config.to_dict(),
+        "stage": result.stage,
+        "detections": [
+            {f.name: _jsonable(getattr(det, f.name)) for f in fields(det)}
+            for det in result.detections
+        ],
+    }
+
+
+def _jsonable(value):
+    """Member sets as sorted lists, tuples as lists, anything else as is."""
+    if isinstance(value, frozenset):
+        return sorted(value)
+    return list(value) if isinstance(value, tuple) else value
+
+
+def reference_provenance(result):
+    """The bytes of the record through json.dumps."""
+    return (json.dumps(provenance_dict(result), indent=2, sort_keys=True) + "\n").encode()
+
+
 def test_provenance_is_json_with_config(tmp_path):
     data, config = passthrough_case()
     graph = build_mixed_graph(config, data.w_vis, data.w_txt)
@@ -321,6 +352,73 @@ def test_provenance_is_json_with_config(tmp_path):
     assert len(loaded["detections"]) == len(result.detections)
     assert "timings" not in loaded
     assert provenance_dict(result) == loaded
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_provenance_bytes_match_json_dumps_at_every_stage(tmp_path, stage):
+    data, config = two_topic_case()
+    graph = build_mixed_graph(config, data.w_vis, data.w_txt)
+    result = run_br(config, graph, list(data.candidates), stop_after=stage)
+    write_provenance(result, tmp_path / "provenance.json")
+    assert (tmp_path / "provenance.json").read_bytes() == reference_provenance(result)
+
+
+pages = st.frozensets(st.integers(0, 10**6))
+indices = st.lists(st.integers(-5, 10**6), max_size=4).map(tuple)
+traces = st.one_of(st.none(), st.lists(st.floats(), max_size=4).map(tuple))
+detections = st.builds(
+    DetectedTopic,
+    rank=st.integers(0, 10**4),
+    members=pages,
+    coarse_members=pages,
+    sources=indices,
+    bypassed=st.booleans(),
+    pi=traces,
+    selection_order=st.one_of(st.none(), indices),
+    gains=traces,
+    deltas=traces,
+    cut_index=st.one_of(st.none(), st.integers(-1, 10**4)),
+)
+configs = st.builds(
+    PipelineConfig,
+    window=st.integers(0, 500),
+    tau=st.one_of(st.just(1), st.floats(0.0, 1.0, exclude_min=True)),
+    sigma2_affinity=st.one_of(st.none(), st.integers(1, 9), st.floats(1e-300, 1e300)),
+    apply_kernel=st.booleans(),
+    cascade_thresholds=st.lists(st.floats(0.0, 1.0), max_size=3).map(tuple),
+)
+BYPASSED = DetectedTopic(0, frozenset({4, 2}), frozenset({4, 2, 9}), (3, 1), True)
+NONFINITE = replace(
+    BYPASSED, bypassed=False, pi=(float("nan"), 0.5), selection_order=(), gains=(float("inf"),),
+    deltas=(float("-inf"), -0.0, 1e-310), cut_index=0,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(configs, st.sampled_from(STAGES), st.lists(detections, max_size=5))
+@example(PipelineConfig(), "rank", [])
+@example(PipelineConfig(cascade_thresholds=()), "bundle", [BYPASSED])
+@example(PipelineConfig(sigma2_affinity=2.5), "refine", [NONFINITE, BYPASSED])
+def test_provenance_bytes_match_json_dumps(tmp_path_factory, config, stage, dets):
+    result = PipelineResult(config, stage, dets, None)
+    path = tmp_path_factory.mktemp("provenance") / "provenance.json"
+    write_provenance(result, path)
+    assert path.read_bytes() == reference_provenance(result)
+
+
+@pytest.mark.parametrize("change", [
+    dict(members=frozenset({np.int64(3)})),
+    dict(members=frozenset({1, np.int64(3)})),
+    dict(sources=(0, np.int64(1))),
+    dict(rank=np.int64(0)),
+    dict(cut_index=np.int32(2)),
+])
+def test_provenance_rejects_numpy_ints_as_json_dumps_does(tmp_path, change):
+    result = PipelineResult(PipelineConfig(), "refine", [replace(BYPASSED, **change)], None)
+    with pytest.raises(TypeError):
+        reference_provenance(result)
+    with pytest.raises(TypeError):
+        write_provenance(result, tmp_path / "provenance.json")
 
 
 def test_write_report_requires_truth(tmp_path):
