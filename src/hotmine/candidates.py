@@ -4,7 +4,9 @@ Candidates normally come from an upstream clustering stage. As a built-in
 stand-in, cascade_candidates emits the connected components of the graph at
 a ladder of edge-weight thresholds, which reproduces the coarse-to-fine
 granularity structure the rest of the pipeline expects: low thresholds give
-big loose components, high thresholds split them into tight fragments.
+big loose components, high thresholds split them into tight fragments. The
+components come from the graph's CSR arrays in numpy: no module imports
+scipy, except the graph's adjacency view.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import InputError
 from .graph import SimilarityGraph
@@ -71,27 +75,27 @@ def cascade_candidates(
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise InputError("thresholds must be strictly increasing")
 
-    # imported here: no other stage needs scipy, and it slows every start
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
     out: list[TopicCandidate] = []
     seen: set[frozenset[int]] = set()
-    adj = g.adjacency
+    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    upper = rows < g.indices  # each undirected edge once
+    rows, cols, weights = rows[upper], g.indices[upper], g.data[upper]
     for tau in thresholds:
-        kept = adj.multiply(adj >= tau)
-        n_comp, labels = connected_components(sp.csr_matrix(kept), directed=False)
-        groups: dict[int, list[int]] = {}
-        for node, label in enumerate(labels):
-            groups.setdefault(int(label), []).append(node)
-        components = [m for m in groups.values() if len(m) >= 2]
-        components.sort(key=min)
-        for members in components:
-            key = frozenset(members)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(TopicCandidate(key))
+        # Label each node with its component's smallest node: hook the larger
+        # root of every edge across two labels onto the smaller, pointer-jump
+        # until every label is a root, repeat. No label exceeds its node.
+        label, u, v = np.arange(g.n), rows[weights >= tau], cols[weights >= tau]
+        while np.any(across := label[u] != label[v]):
+            u, v = u[across], v[across]  # an edge within one label stays so
+            np.minimum.at(label, np.maximum(label[u], label[v]), np.minimum(label[u], label[v]))
+            while not np.array_equal(jumped := label[label], label):
+                label = jumped
+        paired = np.bincount(label, minlength=g.n)[label] > 1  # no singletons
+        order = np.flatnonzero(paired)[np.argsort(label[paired], kind="stable")]
+        for members in np.split(order, np.flatnonzero(np.diff(label[order])) + 1):
+            if len(members) and (key := frozenset(members.tolist())) not in seen:
+                seen.add(key)
+                out.append(TopicCandidate(key))
     return out
 
 

@@ -189,9 +189,9 @@ def _build_parser(base: PipelineConfig) -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="run property checks on random instances")
     p.add_argument("--trials", type=int, default=1000, help="trials per check")
-    p.add_argument("--nodes", type=int, default=8, help="instance size")
+    p.add_argument("--nodes", type=_non_negative_int, default=8, help="instance size")
     p.add_argument("--instances", type=int, default=5)
-    p.add_argument("--oracle-seed", type=int, default=0)
+    p.add_argument("--oracle-seed", type=_non_negative_int, default=0)
     return parser
 
 

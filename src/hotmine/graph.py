@@ -7,7 +7,8 @@ whose weights are the per-edge average (a missing edge contributes zero).
 
 Matrices and graphs are both held as canonical CSR arrays (indptr,
 indices, data) in plain numpy: every stage costs time and memory in
-proportion to the stored nonzeros, never n x n, and no stage imports scipy.
+proportion to the stored nonzeros, never n x n, and no module imports
+scipy, except SimilarityGraph.adjacency, a view for callers that want one.
 Where two entry sets meet (a transpose, a union), entries are addressed by
 their row-major int64 key i*n + j. Both are exchanged on disk in a plain
 triplet text format (see load_similarity).
@@ -67,33 +68,27 @@ def _union(n: int, a: tuple, b: tuple, op: Callable) -> tuple:
 
 
 def _checked(matrix: Any, what: str, tol: float) -> tuple:
-    """Canonical CSR arrays (n, indptr, indices, data) of a dense array or a
-    scipy sparse matrix, duplicates summed and zeros dropped, checked to be
-    square and symmetric within tol, with finite values in [0, 1] and a zero
-    diagonal."""
+    """Canonical CSR arrays (n, indptr, indices, data) of a dense array,
+    zeros dropped, checked to be square and symmetric within tol, with
+    finite values in [0, 1] and a zero diagonal."""
     shape = np.shape(matrix)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise InputError(f"{what} must be square, got shape {shape}")
     n = shape[0]
+    dense = np.asarray(matrix, dtype=float)
+    nonzero = dense != 0.0  # row-major, as CSR stores them
+    indptr = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
+    indices = np.broadcast_to(np.arange(n, dtype=np.int32), (n, n))[nonzero]
+    data = dense[nonzero]
     with np.errstate(invalid="ignore"):  # inf - inf; a non-finite entry fails first
-        if hasattr(matrix, "tocsr"):  # scipy sparse: its own methods, no import here
-            csr = matrix.astype(float).tocsr()
-            csr.sum_duplicates()
-            indptr, indices, data, diagonal = csr.indptr, csr.indices, csr.data, csr.diagonal()
-            asymmetry = (csr - csr.T).data
-        else:
-            dense = np.asarray(matrix, dtype=float)
-            nonzero = dense != 0.0  # row-major, as CSR stores them
-            indptr = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
-            indices = np.broadcast_to(np.arange(n, dtype=np.int32), (n, n))[nonzero]
-            data, diagonal, asymmetry = dense[nonzero], dense.diagonal(), dense - dense.T
+        asymmetry = dense - dense.T
     if not np.all(np.isfinite(data)):
         raise InputError(f"{what} contains a non-finite entry")
     if np.any(np.abs(asymmetry) > tol):
         raise InputError(f"{what} is not symmetric within {tol:g}")
     if np.any((data < 0.0) | (data > 1.0)):
         raise InputError(f"{what} values must lie in [0, 1]")
-    if diagonal.any():
+    if dense.diagonal().any():
         raise InputError(f"{what} must have a zero diagonal (no self-loops)")
     return n, *_kept(indptr, indices, data, data != 0.0)
 
@@ -123,23 +118,17 @@ class _SymmetricCSR:
         out.ravel()[self.keys()] = self.data
         return out
 
-    def _scipy(self):
-        import scipy.sparse as sp  # only this view needs scipy
-
-        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
-
 
 class SimilarityMatrix(_SymmetricCSR):
     """Pairwise similarity (or affinity) matrix over n webpages.
 
-    Built from a dense array or a scipy sparse matrix and held as canonical
-    CSR arrays: sorted indices, no duplicates, no explicit zeros. Entries
-    live in [0, 1], the diagonal is zero, and the matrix is symmetric within
-    1e-9. A zero entry means "no measured similarity".
+    Built from a dense array and held as canonical CSR arrays: sorted
+    indices, no explicit zeros. Entries live in [0, 1], the diagonal is
+    zero, and the matrix is symmetric within 1e-9. A zero entry means "no
+    measured similarity".
     """
 
     _what, _tol = "similarity matrix", SYMMETRY_TOL
-    csr = property(_SymmetricCSR._scipy, doc="A scipy CSR matrix on the same arrays.")
 
 
 class SimilarityGraph(_SymmetricCSR):
@@ -150,7 +139,6 @@ class SimilarityGraph(_SymmetricCSR):
     """
 
     _what, _tol = "graph", 0.0
-    adjacency = property(_SymmetricCSR._scipy, doc="A scipy CSR matrix on the same arrays.")
 
     def __init__(self, adjacency: Any, kind: str = "mixed") -> None:
         super().__init__(adjacency)
@@ -160,6 +148,12 @@ class SimilarityGraph(_SymmetricCSR):
     def edge_count(self) -> int:
         """Number of undirected edges."""
         return len(self.data) // 2
+
+    @property
+    def adjacency(self):  # a scipy CSR view that perfbench/tracing.py reads
+        import scipy.sparse as sp
+
+        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
 
 
 def gaussian_affinity(

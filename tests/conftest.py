@@ -1,14 +1,32 @@
 """Shared helpers for the test suite."""
 
 import numpy as np
-import scipy.sparse as sp
+import pytest
 
+from hotmine.cli import main
 from hotmine.graph import SimilarityGraph, SimilarityMatrix
+
+
+@pytest.fixture()
+def corpus(tmp_path):
+    """Small generated corpus on disk, shared by the CLI and pin tests."""
+    out = tmp_path / "data"
+    rc = main([
+        "synth",
+        "--n", "60",
+        "--topic-sizes", "10,10",
+        "--fragments", "3",
+        "--fragment-noise", "2",
+        "--seed", "5",
+        "--out-dir", str(out),
+    ])
+    assert rc == 0
+    return out
 
 
 def graph_from_dense(values, kind: str = "mixed") -> SimilarityGraph:
     """Build a graph straight from a dense symmetric array."""
-    return SimilarityGraph(sp.csr_matrix(np.asarray(values, dtype=float)), kind=kind)
+    return SimilarityGraph(np.asarray(values, dtype=float), kind=kind)
 
 
 def random_similarity(rng: np.random.Generator, n: int, density: float = 1.0) -> SimilarityMatrix:

@@ -32,8 +32,6 @@ from hotmine.ranking import (
 from hotmine.refining import goodness, greedy_select
 from hotmine.synth import SyntheticScenario, generate_synthetic
 
-import scipy.sparse as sp
-
 
 def test_a1_submodularity_holds_over_ten_thousand_trials():
     start = time.perf_counter()
@@ -134,7 +132,7 @@ def test_a6_deconvolution_matches_grid_search_per_coordinate():
         for i, j in combinations(range(10), 2):
             if rng.uniform() < 0.8:
                 vals[i, j] = vals[j, i] = float(rng.uniform())
-        graph = SimilarityGraph(sp.csr_matrix(vals), kind="mixed")
+        graph = SimilarityGraph(vals, kind="mixed")
         cands = [TopicCandidate(c1), TopicCandidate(c2)]
 
         lls = []

@@ -29,23 +29,6 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.fixture()
-def corpus(tmp_path):
-    """Small generated corpus on disk, shared by the chain tests."""
-    out = tmp_path / "data"
-    rc = main([
-        "synth",
-        "--n", "60",
-        "--topic-sizes", "10,10",
-        "--fragments", "3",
-        "--fragment-noise", "2",
-        "--seed", "5",
-        "--out-dir", str(out),
-    ])
-    assert rc == 0
-    return out
-
-
 def test_synth_writes_all_four_files(corpus):
     for name in ("vis.sim", "txt.sim", "candidates.txt", "truth.txt"):
         assert (corpus / name).is_file()
@@ -292,6 +275,11 @@ def test_wrongly_typed_config_value_exits_one(tmp_path, capsys, value, expected)
     (["frobnicate"], "hotmine: argument command: invalid choice: 'frobnicate'"),
     (["run", "--vis", "v.sim"], "hotmine run: the following arguments are required: --txt"),
     (["--config"], "hotmine: argument --config: expected one argument"),
+    (["oracle", "--nodes", "-3"], "hotmine oracle: argument --nodes: must be a non-negative int, got '-3'"),
+    (
+        ["oracle", "--oracle-seed", "-1"],
+        "hotmine oracle: argument --oracle-seed: must be a non-negative int, got '-1'",
+    ),
 ])
 def test_usage_error_exits_one_with_one_line(capsys, argv, expected):
     # exit 2 is reserved for solvers that hit their iteration cap
@@ -414,10 +402,26 @@ def child_output(code):
     return out.stdout.strip().splitlines()
 
 
-def test_cli_import_leaves_csgraph_unloaded():
-    # only `hotmine candidates` and the .csr/.adjacency views need scipy;
-    # importing it at start-up slows every command
-    assert child_output(f"import sys, hotmine.cli; print({LOADED_SCIPY})") == ["[]"]
+def test_every_command_runs_with_scipy_blocked(corpus, tmp_path):
+    # a None in sys.modules makes any import of scipy raise ImportError
+    graph, truth = str(tmp_path / "mixed.graph"), str(corpus / "truth.txt")
+    sides = ["--vis", str(corpus / "vis.sim"), "--txt", str(corpus / "txt.sim")]
+    inputs = ["--graph", graph, "--candidates", str(corpus / "candidates.txt")]
+    commands = [
+        ["synth", "--n", "60", "--topic-sizes", "10,10", "--out-dir", str(tmp_path / "synth")],
+        ["graph", *sides, "--out", graph, *COMMON],
+        ["candidates", "--graph", graph, "--out", str(tmp_path / "cascade.txt"), *COMMON],
+        ["rank", *inputs, "--out", str(tmp_path / "ranked.txt"), *COMMON],
+        ["bundle", *inputs, "--out", str(tmp_path / "coarse.txt"), *COMMON],
+        ["refine", *inputs, "--truth", truth, "--out-prefix", str(tmp_path / "refined"), *COMMON],
+        ["run", *sides, "--candidates", str(corpus / "candidates.txt"), "--truth", truth,
+         "--out-prefix", str(tmp_path / "run"), *COMMON],
+        ["eval", "--detections", truth, "--truth", truth, "--n", "60", "--out-prefix", str(tmp_path / "eval")],
+        ["oracle", "--trials", "5", "--instances", "1"],
+    ]
+    code = f"import sys; sys.modules['scipy'] = None; from hotmine.cli import main; print([main(a) for a in {commands!r}])"
+    assert child_output(code)[-1] == str([0] * len(commands))
+    assert (tmp_path / "cascade.txt").read_text() and (tmp_path / "run_topics.txt").is_file()
 
 
 @pytest.mark.parametrize("kernel", [False, True], ids=["raw", "kernel"])

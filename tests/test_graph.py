@@ -35,6 +35,16 @@ def sym(values):
     return SimilarityMatrix(upper + upper.T)
 
 
+def assert_canonical(m):
+    """Canonical CSR arrays: indptr from 0 to nnz, strictly ascending column
+    indices within each row, and no explicit zero."""
+    assert m.indptr[0] == 0 and m.indptr[-1] == len(m.indices) == len(m.data)
+    assert np.all(np.diff(m.indptr) >= 0)
+    assert np.all((m.indices >= 0) & (m.indices < m.n))
+    assert np.all(np.diff(_keys(m.n, m.indptr, m.indices)) > 0)
+    assert np.all(m.data > 0.0)
+
+
 # --------------------------------------------------------------- validation
 
 
@@ -67,19 +77,19 @@ def test_matrix_rejects_non_finite():
 
 def test_graph_rejects_self_loops():
     with pytest.raises(InputError, match="self-loops"):
-        SimilarityGraph(sp.csr_matrix(np.array([[0.5, 0.0], [0.0, 0.0]])))
+        SimilarityGraph(np.array([[0.5, 0.0], [0.0, 0.0]]))
 
 
 def test_graph_rejects_asymmetric_adjacency():
     values = np.array([[0.0, 0.4], [0.0, 0.0]])
     with pytest.raises(InputError, match="symmetric"):
-        SimilarityGraph(sp.csr_matrix(values))
+        SimilarityGraph(values)
 
 
 def test_graph_rejects_out_of_range_weights():
     values = np.array([[0.0, 1.5], [1.5, 0.0]])
     with pytest.raises(InputError, match="0, 1"):
-        SimilarityGraph(sp.csr_matrix(values))
+        SimilarityGraph(values)
 
 
 def test_graph_edge_accessors():
@@ -318,8 +328,8 @@ def test_load_similarity_large_header_stays_sparse(tmp_path):
     path.write_text("400000 1\n0 1 0.5\n")
     loaded = load_similarity(path)
     assert loaded.n == 400_000
-    assert loaded.csr.nnz == 2
-    assert loaded.csr[0, 1] == loaded.csr[1, 0] == 0.5
+    assert loaded.indptr[:3].tolist() == [0, 1, 2] and loaded.indptr[-1] == 2
+    assert loaded.indices.tolist() == [1, 0] and loaded.data.tolist() == [0.5, 0.5]
 
 
 # --------------------------------------------------------------- loader contract
@@ -351,7 +361,7 @@ def test_load_similarity_zero_triplet_is_no_edge(tmp_path):
     path = tmp_path / "m.sim"
     path.write_text("3 2\n0 1 0.0\n1 2 0.5\n")
     loaded = load_similarity(path)
-    assert loaded.csr.nnz == 2
+    assert len(loaded.data) == 2
     np.testing.assert_array_equal(
         loaded.values, [[0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.5, 0.0]]
     )
@@ -365,7 +375,7 @@ def test_load_similarity_empty_body_loads_without_warning(tmp_path, body):
         warnings.simplefilter("always")
         loaded = load_similarity(path)
     assert caught == []
-    assert loaded.n == 3 and loaded.csr.nnz == 0
+    assert loaded.n == 3 and len(loaded.data) == 0
 
 
 def test_load_similarity_memory_error_is_input_error(tmp_path, monkeypatch):
@@ -380,9 +390,9 @@ def test_load_similarity_memory_error_is_input_error(tmp_path, monkeypatch):
 
 
 def test_matrix_is_canonical_csr():
-    m = SimilarityMatrix(sp.csr_matrix(([0.5, 0.0, 0.5], ([1, 0, 0], [0, 2, 1])), shape=(3, 3)))
-    assert m.csr.has_canonical_format
-    assert m.csr.nnz == 2 and np.all(m.csr.data > 0.0)
+    m = SimilarityMatrix(sp.csr_matrix(([0.5, 0.0, 0.5], ([1, 0, 0], [0, 2, 1])), shape=(3, 3)).toarray())
+    assert_canonical(m)
+    assert len(m.data) == 2
     np.testing.assert_array_equal(m.values, [[0.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
@@ -452,7 +462,10 @@ def reference_knn_sparsify(values: np.ndarray, k: int) -> sp.csr_matrix:
     vals = values[rows, cols]
     keep = vals > 0.0
     directed = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n))
-    return SimilarityGraph(directed.maximum(directed.T)).adjacency
+    out = directed.maximum(directed.T).tocsr()
+    out.sum_duplicates()
+    out.eliminate_zeros()
+    return out
 
 
 # --------------------------------------------------------------- equivalence
@@ -512,11 +525,9 @@ def test_knn_graph_matches_dense_reference(kernel, case, sigma2):
         matrix = gaussian_affinity(matrix, sigma2=sigma2)
         expected = reference_gaussian_affinity(values, sigma2=sigma2)
         np.testing.assert_array_equal(matrix.values, expected)
-    assert matrix.csr.has_canonical_format and np.all(matrix.csr.data > 0.0)
-    got = knn_sparsify(matrix, k).adjacency
-    want = reference_knn_sparsify(expected, k)
-    for part in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(got, part), getattr(want, part)), part
+    assert_canonical(matrix)
+    got = knn_sparsify(matrix, k)
+    same_csr((got.indptr, got.indices, got.data), reference_knn_sparsify(expected, k))
 
 
 def test_kernel_underflow_drops_the_pair():
@@ -524,8 +535,8 @@ def test_kernel_underflow_drops_the_pair():
     # dense kernel, and the input keeps its entries
     m = sym([[0.0, 1.0, 0.0], [0.0, 0.0, 0.01], [0.0, 0.0, 0.0]])
     out = gaussian_affinity(m, sigma2=1e-3)
-    assert m.csr.nnz == 4
-    assert out.csr.nnz == 2
+    assert len(m.data) == 4
+    assert len(out.data) == 2
     np.testing.assert_array_equal(out.values, reference_gaussian_affinity(m.values, 1e-3))
 
 
@@ -606,7 +617,7 @@ def test_loader_matches_line_loop_reference(tmp_path_factory, text):
             assert str(caught.value) == str(expected)
     else:
         loaded = load_similarity(path)
-        assert loaded.csr.has_canonical_format and np.all(loaded.csr.data > 0.0)
+        assert_canonical(loaded)
         np.testing.assert_array_equal(loaded.values, expected)
 
 
@@ -620,7 +631,8 @@ def _ring_similarity(rng, n: int, per_row: int) -> SimilarityMatrix:
     rows = np.repeat(np.arange(n), len(offsets))
     cols = (rows + np.tile(offsets, n)) % n
     upper = sp.csr_matrix((rng.uniform(0.05, 1.0, len(rows)), (rows, cols)), shape=(n, n))
-    return SimilarityMatrix(upper + upper.T)
+    full = (upper + upper.T).tocsr()  # no pair twice: offsets stay below n / 2
+    return SimilarityMatrix._trusted(n, full.indptr, full.indices, full.data)
 
 
 def test_graph_stage_scales_linearly_in_nonzeros(tmp_path):
@@ -636,7 +648,7 @@ def test_graph_stage_scales_linearly_in_nonzeros(tmp_path):
             matrix = _ring_similarity(rng, n, per_row=30)
             save_similarity(matrix, tmp_path / f"{side}{n}.sim")
             files[n].append(tmp_path / f"{side}{n}.sim")
-        nnz[n] = 2 * matrix.csr.nnz
+        nnz[n] = 2 * len(matrix.data)
 
     def build(n):
         return build_mixed_graph(config, *(load_similarity(p) for p in files[n]))
@@ -696,7 +708,7 @@ def same_csr(got, want):
 
 
 def reference_checked(matrix, what, tol):
-    """The scipy validation of dense and sparse constructor input."""
+    """The scipy validation of dense constructor input."""
     csr = sp.csr_matrix(matrix, dtype=float, copy=True)
     csr.sum_duplicates()
     if csr.shape[0] != csr.shape[1]:
@@ -717,25 +729,23 @@ def reference_checked(matrix, what, tol):
     case=directed_entries(),
     symmetrize=st.booleans(),
     spoil=st.sampled_from([None, np.nan, np.inf, 1.5, -0.5, 1e-12, "diagonal"]),
-    sparse=st.booleans(),
 )
 @settings(max_examples=400, deadline=None)
-def test_constructors_match_scipy_validation(case, symmetrize, spoil, sparse):
+def test_constructors_match_scipy_validation(case, symmetrize, spoil):
     dense = (case + case.T).toarray() if symmetrize else case.toarray()
     if spoil == "diagonal":
         dense[0, 0] = 0.5
     elif spoil is not None and dense.size > 1:
         dense[0, -1] += spoil
-    source = sp.coo_matrix(dense) if sparse else dense
     for cls, what, tol in ((SimilarityMatrix, "similarity matrix", 1e-9), (SimilarityGraph, "graph", 0.0)):
         try:
-            want = reference_checked(source, what, tol)
+            want = reference_checked(dense, what, tol)
         except InputError as exc:
             with pytest.raises(InputError) as caught:
-                cls(source)
+                cls(dense)
             assert str(caught.value) == str(exc)
             continue
-        got = cls(source)
+        got = cls(dense)
         same_csr((got.indptr, got.indices, got.data), want)
 
 
@@ -801,7 +811,7 @@ def test_union_matches_sort_and_search(case, op):
 def test_mix_matches_scipy_sum(a, b):
     if a.shape != b.shape:
         b = sp.csr_matrix(a.shape)
-    ga, gb = SimilarityGraph(a), SimilarityGraph(b)
+    ga, gb = SimilarityGraph(a.toarray()), SimilarityGraph(b.toarray())
     mixed = mix_graphs(ga, gb)
     same_csr((mixed.indptr, mixed.indices, mixed.data), (a + b) * 0.5)
     assert mixed.edge_count == ((a + b) * 0.5).nnz // 2
@@ -821,7 +831,7 @@ def reference_save(csr, path):
 @settings(max_examples=200, deadline=None)
 def test_writer_matches_scipy_writer(tmp_path_factory, case):
     folder = tmp_path_factory.mktemp("writer")
-    save_similarity(SimilarityMatrix(case), folder / "got.sim")
+    save_similarity(SimilarityMatrix(case.toarray()), folder / "got.sim")
     reference_save(case, folder / "want.sim")
     assert (folder / "got.sim").read_bytes() == (folder / "want.sim").read_bytes()
 

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hotmine.candidates import TopicCandidate
+from hotmine.cli import main
 from hotmine.errors import InputError
 from hotmine.graph import save_similarity
 from hotmine.pipeline import (
@@ -258,6 +259,14 @@ PINNED_PROVENANCE = {
     "bundle": "4474a2bf8d971f095d942af7a656a3a346b2747eb346c8043559f6276e2ace59",
     "refine": "77344944fea3291ce8e42ce5c7191deccf9ad6e0f74df25637a1c9464fe9dfa6",
 }
+# sha256 of the file `hotmine candidates` writes from the corpus fixture's
+# mixed graph, at the default threshold ladder and at a 4-step ladder where
+# components repeat; recorded with scipy's connected_components, before the
+# numpy labelling replaced it.
+PINNED_CANDIDATES = {
+    "default": "6f7f7aac0f3b5cedeab7a61d7ba72e088436f9af62f5acee4210d65440a0626c",
+    "0.02,0.04,0.06,0.08": "b3703777ea1c7e07f0df28c420a27772331f3e72a9b16eb95fe6cd1197d526bd",
+}
 # sha256 of write_detections for the refine-stage run of two_topic_case, and
 # of save_similarity for both matrices of passthrough_case's corpus; same
 # platform as above.
@@ -290,6 +299,17 @@ def test_refine_stage_outputs_are_pinned(tmp_path):
     write_provenance(result, tmp_path / "provenance.json")
     assert sha256(tmp_path / "topics.txt") == PINNED_REFINE_TOPICS
     assert sha256(tmp_path / "provenance.json") == PINNED_PROVENANCE["refine"]
+
+
+@pytest.mark.parametrize("ladder", sorted(PINNED_CANDIDATES))
+def test_cascade_candidate_bytes_are_pinned(corpus, tmp_path, ladder):
+    graph, out = tmp_path / "mixed.graph", tmp_path / "candidates.txt"
+    sides = ["--vis", str(corpus / "vis.sim"), "--txt", str(corpus / "txt.sim")]
+    flags = ["--no-apply-kernel", "--knn-txt", "20", "--knn-vis", "8", "--tau", "0.2"]
+    assert main(["graph", *sides, "--out", str(graph), *flags]) == 0
+    ladder_flags = [] if ladder == "default" else ["--cascade-thresholds", ladder]
+    assert main(["candidates", "--graph", str(graph), "--out", str(out), *ladder_flags]) == 0
+    assert sha256(out) == PINNED_CANDIDATES[ladder]
 
 
 def test_synthetic_similarity_bytes_are_pinned(tmp_path):
