@@ -99,24 +99,17 @@ def cascade_candidates(
     return out
 
 
-def load_candidates(
-    source: str | Path | Iterable[str], n: int | None = None
-) -> list[TopicCandidate]:
-    """Parse candidates from text: one candidate per line.
+def load_candidates(path: str | Path, n: int | None = None) -> list[TopicCandidate]:
+    """Read a candidates file: one candidate per line.
 
     Members are whitespace-separated 0-based indices; '#' begins a comment
     line and blank lines are skipped. When n is given every index must be
-    below it.
+    below it. Errors name the file and line.
     """
-    if isinstance(source, (str, Path)):
-        name = str(source)
-        try:
-            lines = Path(source).read_text().splitlines()
-        except UnicodeDecodeError as exc:
-            raise InputError(f"{name}: not UTF-8 text: {exc}") from exc
-    else:
-        lines = list(source)
-        name = "<candidates>"
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
     out: list[TopicCandidate] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -125,31 +118,25 @@ def load_candidates(
         try:
             members = [int(tok) for tok in line.split()]
         except ValueError as exc:
-            raise InputError(f"{name}:{lineno}: malformed candidate line") from exc
+            raise InputError(f"{path}:{lineno}: malformed candidate line") from exc
         if any(m < 0 for m in members):
-            raise InputError(f"{name}:{lineno}: negative index")
+            raise InputError(f"{path}:{lineno}: negative index")
         if n is not None and any(m >= n for m in members):
-            raise InputError(f"{name}:{lineno}: index out of range (n={n})")
+            raise InputError(f"{path}:{lineno}: index out of range (n={n})")
         out.append(TopicCandidate(frozenset(members)))
     if not out:
-        raise InputError(f"{name}: no candidates")
+        raise InputError(f"{path}: no candidates")
     return out
 
 
-def save_candidates(
-    candidates: Iterable,
-    path: str | Path,
-    header: str | Iterable[str] | None = None,
-) -> None:
+def save_candidates(candidates: Iterable, path: str | Path, header: Iterable[str] = ()) -> None:
     """Write one member set per line as sorted indices.
 
     Accepts anything with a .members attribute (candidates, coarse or
-    refined topics) or bare sets. header lines are written as comments.
+    refined topics) or bare sets. Each header line is written first, as a
+    '# ' comment.
     """
-    lines = []
-    if header:
-        header_lines = header.splitlines() if isinstance(header, str) else header
-        lines.extend(f"# {h}" for h in header_lines)
+    lines = [f"# {h}" for h in header]
     for cand in candidates:
         members = getattr(cand, "members", cand)
         lines.append(" ".join(str(m) for m in sorted(members)))

@@ -13,9 +13,9 @@ One subcommand per pipeline stage plus end-to-end drivers:
     hotmine oracle      property checks on random instances
 
 Every pipeline knob is a flag; `--config FILE` loads a JSON object with
-the same keys first, and explicit flags override the file. Exit codes:
-0 success, 1 bad input or usage (or a failed oracle check), 2 convergence
-failure.
+the same keys, and the flags given override it (`_parse`, the one place argv
+is read). Exit codes: 0 success, 1 bad input, usage, work that does not fit
+in memory or a failed oracle check, 2 convergence failure.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from . import __version__
 from .candidates import cascade_candidates, load_candidates, save_candidates
 from .errors import ConvergenceError, InputError
 from .evaluation import EvaluationReport, evaluate, load_ground_truth, write_curves
-from .graph import load_graph, load_similarity, save_graph, save_similarity
+from .graph import load_graph, load_similarity, save_similarity
 from .oracle import check_monotonicity, check_submodularity, sample_instance
 from .pipeline import (
     STAGES,
@@ -55,7 +55,7 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
-def _load_config_file(path: str) -> PipelineConfig:
+def _load_config_file(path: str) -> dict:
     try:
         data = json.loads(Path(path).read_text())
     except UnicodeDecodeError as exc:
@@ -64,22 +64,21 @@ def _load_config_file(path: str) -> PipelineConfig:
         raise InputError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"config file {path} must hold a JSON object")
-    return PipelineConfig.from_dict(data)
+    return data
 
 
-def _add_config_flags(parser: argparse.ArgumentParser, base: PipelineConfig) -> None:
-    """One flag per PipelineConfig field, defaulting to base; its type comes
-    from the field's class default, never from a --config value."""
-    g = parser.add_argument_group("pipeline config")
+def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per PipelineConfig field, typed by the field's class default.
+    A flag has no default: only the flags given reach the namespace."""
+    g = parser.add_argument_group("pipeline config", argument_default=argparse.SUPPRESS)
     for field in dataclasses.fields(PipelineConfig):
-        flag, default = "--" + field.name.replace("_", "-"), getattr(base, field.name)
-        kind = field_type(field)
+        flag, kind = "--" + field.name.replace("_", "-"), field_type(field)
         if kind is bool:
-            g.add_argument(flag, action=argparse.BooleanOptionalAction, default=default)
+            g.add_argument(flag, action=argparse.BooleanOptionalAction)
         elif kind is tuple:
-            g.add_argument(flag, type=_list_of(float), default=default, metavar="T1,T2,...")
+            g.add_argument(flag, type=_list_of(float), metavar="T1,T2,...")
         else:
-            g.add_argument(flag, type=kind, default=default)
+            g.add_argument(flag, type=kind)
 
 
 def _list_of(kind: type):
@@ -104,12 +103,7 @@ def _non_negative_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be a non-negative int, got {text!r}")
 
 
-def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    names = [field.name for field in dataclasses.fields(PipelineConfig)]
-    return PipelineConfig(**{name: getattr(args, name) for name in names})
-
-
-def _build_parser(base: PipelineConfig) -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hotmine",
         description="Mine hot topics from webpage similarity graphs.",
@@ -136,30 +130,30 @@ def _build_parser(base: PipelineConfig) -> argparse.ArgumentParser:
     p.add_argument("--cluster-size", type=int, default=12)
     p.add_argument("--cluster-count", type=int, default=0)
     p.add_argument("--out-dir", required=True)
-    _add_config_flags(p, base)
+    _add_config_flags(p)
 
     p = sub.add_parser("graph", help="build the mixed kNN graph")
     p.add_argument("--vis", required=True, help="visual similarity file")
     p.add_argument("--txt", required=True, help="textual similarity file")
     p.add_argument("--out", required=True)
-    _add_config_flags(p, base)
+    _add_config_flags(p)
 
     p = sub.add_parser("candidates", help="cascade candidates from a graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p, base)
+    _add_config_flags(p)
 
     p = sub.add_parser("rank", help="weight and rank candidates")
     p.add_argument("--graph", required=True)
     p.add_argument("--candidates", required=True)
     p.add_argument("--out", required=True, help="ranked candidate file")
-    _add_config_flags(p, base)
+    _add_config_flags(p)
 
     p = sub.add_parser("bundle", help="rank and bundle into coarse topics")
     p.add_argument("--graph", required=True)
     p.add_argument("--candidates", required=True)
     p.add_argument("--out", required=True, help="coarse topic file")
-    _add_config_flags(p, base)
+    _add_config_flags(p)
 
     p = sub.add_parser("refine", help="full pipeline on a prebuilt graph")
     p.add_argument("--graph", required=True)
@@ -168,7 +162,7 @@ def _build_parser(base: PipelineConfig) -> argparse.ArgumentParser:
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--stop-after", choices=STAGES, default="refine")
     p.add_argument("--max-fppt", type=_non_negative_int, default=None)
-    _add_config_flags(p, base)
+    _add_config_flags(p)
 
     p = sub.add_parser("run", help="full pipeline from raw matrices")
     p.add_argument("--vis", required=True)
@@ -178,7 +172,7 @@ def _build_parser(base: PipelineConfig) -> argparse.ArgumentParser:
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--stop-after", choices=STAGES, default="refine")
     p.add_argument("--max-fppt", type=_non_negative_int, default=None)
-    _add_config_flags(p, base)
+    _add_config_flags(p)
 
     p = sub.add_parser("eval", help="score detections against ground truth")
     p.add_argument("--detections", required=True, help="file in rank order")
@@ -195,7 +189,17 @@ def _build_parser(base: PipelineConfig) -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
+def _parse(argv: list[str]) -> tuple[argparse.Namespace, PipelineConfig]:
+    """The parsed argv, without config flags, and the config: the --config
+    file's values checked on their own, then the flags given applied."""
+    args = _build_parser().parse_args(argv)
+    config = PipelineConfig.from_dict(_load_config_file(args.config) if args.config else {})
+    names = [field.name for field in dataclasses.fields(PipelineConfig)]
+    flags = {name: vars(args).pop(name) for name in names if name in vars(args)}
+    return args, dataclasses.replace(config, **flags)
+
+
+def _cmd_synth(args: argparse.Namespace, config: PipelineConfig) -> int:
     scenario = SyntheticScenario(
         n_webpages=args.n,
         topic_sizes=args.topic_sizes,
@@ -208,7 +212,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         noise_cluster_size=args.cluster_size,
         noise_cluster_count=args.cluster_count,
     )
-    data = generate_synthetic(scenario, seed=args.seed)
+    data = generate_synthetic(scenario, seed=config.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_similarity(data.w_vis, out / "vis.sim")
@@ -220,18 +224,16 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_graph(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def _cmd_graph(args: argparse.Namespace, config: PipelineConfig) -> int:
     graph = build_mixed_graph(
         config, load_similarity(args.vis), load_similarity(args.txt)
     )
-    save_graph(graph, args.out)
+    save_similarity(graph, args.out)
     print(f"{args.out}: {graph.n} nodes, {graph.edge_count} edges")
     return 0
 
 
-def _cmd_candidates(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def _cmd_candidates(args: argparse.Namespace, config: PipelineConfig) -> int:
     graph = load_graph(args.graph)
     cands = cascade_candidates(graph, thresholds=config.cascade_thresholds)
     save_candidates(cands, args.out)
@@ -244,8 +246,7 @@ def _load_graph_inputs(args: argparse.Namespace):
     return graph, load_candidates(args.candidates, n=graph.n)
 
 
-def _cmd_rank(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def _cmd_rank(args: argparse.Namespace, config: PipelineConfig) -> int:
     graph, cands = _load_graph_inputs(args)
     result = run_br(config, graph, cands, stop_after="rank")
     ranked = [cands[det.sources[0]] for det in result.detections]
@@ -259,8 +260,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bundle(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def _cmd_bundle(args: argparse.Namespace, config: PipelineConfig) -> int:
     graph, cands = _load_graph_inputs(args)
     result = run_br(config, graph, cands, stop_after="bundle")
     save_candidates(result.detections, args.out)
@@ -292,14 +292,12 @@ def _run_and_write(args: argparse.Namespace, config: PipelineConfig, graph, cand
     return 0
 
 
-def _cmd_refine(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def _cmd_refine(args: argparse.Namespace, config: PipelineConfig) -> int:
     graph, cands = _load_graph_inputs(args)
     return _run_and_write(args, config, graph, cands)
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def _cmd_run(args: argparse.Namespace, config: PipelineConfig) -> int:
     w_vis = load_similarity(args.vis)
     w_txt = load_similarity(args.txt)
     if w_vis.n != w_txt.n:
@@ -310,7 +308,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return _run_and_write(args, config, build_mixed_graph(config, w_vis, w_txt), cands)
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: argparse.Namespace, config: PipelineConfig) -> int:
     detections = load_candidates(args.detections, n=args.n)
     truth = load_ground_truth(args.truth, n=args.n)
     report = evaluate(detections, truth, max_fppt=args.max_fppt)
@@ -318,7 +316,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: argparse.Namespace, config: PipelineConfig) -> int:
     if args.instances < 1:
         raise InputError("need at least one instance")
     rng = np.random.default_rng(args.oracle_seed)
@@ -351,14 +349,12 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        pre = _Parser(prog="hotmine", add_help=False)
-        pre.add_argument("--config")
-        known, _ = pre.parse_known_args(argv)
-        base = _load_config_file(known.config) if known.config else PipelineConfig()
-        args = _build_parser(base).parse_args(argv)
-        return _COMMANDS[args.command](args)
+        args, config = _parse(sys.argv[1:] if argv is None else argv)
+        try:
+            return _COMMANDS[args.command](args, config)
+        except MemoryError as exc:
+            raise InputError(f"hotmine {args.command}: out of memory ({exc})") from exc
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -64,7 +64,7 @@ def _union(n: int, a: tuple, b: tuple, op: Callable) -> tuple:
     out = op(x, y)
     keys, out = keys[out != 0.0], out[out != 0.0]
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-    return indptr, (keys % n).astype(np.int32 if n < 2**31 else np.int64), out
+    return indptr, (keys % n).astype(np.int32), out
 
 
 def _checked(matrix: Any, what: str, tol: float) -> tuple:
@@ -345,10 +345,6 @@ def _raise_first_bad_line(fh: TextIO, path: Path, n: int, nnz: int) -> NoReturn:
     raise InputError(f"{path}: malformed triplet body")
 
 
-def save_graph(graph: SimilarityGraph, path: str | Path) -> None:
-    """Write a graph's adjacency in the same triplet format as matrices."""
-    save_similarity(graph, path)
-
-
-def load_graph(path: str | Path, kind: str = "mixed") -> SimilarityGraph:
-    return SimilarityGraph._trusted(**vars(load_similarity(path)), kind=kind)
+def load_graph(path: str | Path) -> SimilarityGraph:
+    """Read a mixed graph written by save_similarity."""
+    return SimilarityGraph._trusted(**vars(load_similarity(path)), kind="mixed")

@@ -1,5 +1,8 @@
 """Shared helpers for the test suite."""
 
+import gc
+import time
+
 import numpy as np
 import pytest
 
@@ -36,6 +39,24 @@ def random_similarity(rng: np.random.Generator, n: int, density: float = 1.0) ->
         vals = vals * (rng.uniform(0.0, 1.0, (n, n)) < density)
     vals = np.triu(vals, 1)
     return SimilarityMatrix(vals + vals.T)
+
+
+def best_times(calls, repeats: int = 3) -> list[float]:
+    """Best wall time of each call over `repeats` rounds. The calls take
+    turns, so that a slow spell of the machine hits all of them rather than
+    bending a fit, and the cyclic GC is paused while timing, as timeit does."""
+    times = [np.inf] * len(calls)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            for k, call in enumerate(calls):
+                t0 = time.perf_counter()
+                call()
+                times[k] = min(times[k], time.perf_counter() - t0)
+    finally:
+        gc.enable()
+    return times
 
 
 def loglog_fit(sizes, times) -> tuple[float, float]:

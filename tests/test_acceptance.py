@@ -6,12 +6,13 @@ overhead.
 """
 
 import time
+from functools import partial
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from conftest import loglog_fit
+from conftest import best_times, loglog_fit
 from hotmine.bundling import bundle
 from hotmine.candidates import TopicCandidate
 from hotmine.evaluation import GroundTruth, evaluate
@@ -206,7 +207,7 @@ def test_a7_full_pipeline_beats_its_ablations_in_heavy_noise():
 def test_a8_bundling_time_scales_linearly_in_candidates():
     rng = np.random.default_rng(11)
     sizes = (1000, 2000, 4000)
-    times = []
+    calls = []
     for count in sizes:
         items = [
             TopicCandidate(
@@ -215,12 +216,8 @@ def test_a8_bundling_time_scales_linearly_in_candidates():
             for _ in range(count)
         ]
         ranked = RankedTopicList(items=items, indices=list(range(count)))
-        best = np.inf
-        for _ in range(3):
-            t0 = time.perf_counter()
-            bundle(ranked, window=50, tau=0.4)
-            best = min(best, time.perf_counter() - t0)
-        times.append(best)
+        calls.append(partial(bundle, ranked, window=50, tau=0.4))
+    times = best_times(calls)  # best of 3 per size, the sizes taking turns
     slope, r_squared = loglog_fit(sizes, times)
     fit = f"slope {slope:.3f}, R^2 {r_squared:.4f}, times {times}"
     assert 0.75 <= slope <= 1.3, fit

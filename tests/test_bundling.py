@@ -1,13 +1,13 @@
 """Window bundling and non-maximum suppression."""
 
-import time
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import loglog_fit
+from conftest import best_times, loglog_fit
 from hotmine.bundling import CoarseTopic, bundle, nms_dedupe
 from hotmine.candidates import TopicCandidate
 from hotmine.errors import InputError
@@ -282,14 +282,8 @@ def test_nms_time_scales_linearly_in_topics():
         as_coarse(rng.choice(100_000, size=8, replace=False).tolist() for _ in range(count))
         for count in sizes
     ]
-    times = [np.inf] * len(sizes)
-    # best of 3 per size; the sizes take turns so that a slow spell of the
-    # machine hits all of them rather than bending the fit
-    for _ in range(3):
-        for k, coarse in enumerate(inputs):
-            t0 = time.perf_counter()
-            nms_dedupe(coarse, overlap_thresh=0.4)
-            times[k] = min(times[k], time.perf_counter() - t0)
+    # best of 3 per size, the sizes taking turns
+    times = best_times([partial(nms_dedupe, coarse, overlap_thresh=0.4) for coarse in inputs])
     slope, r_squared = loglog_fit(sizes, times)
     # comparing every topic with every kept one gives a slope near 2
     assert slope <= 1.5, f"slope {slope:.3f}, times {times}"

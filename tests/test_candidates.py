@@ -264,8 +264,14 @@ def test_cascade_on_a_long_shuffled_path_matches_scipy(tmp_path):
 # --------------------------------------------------------------- file format
 
 
-def test_load_candidates_parses_lines():
-    out = load_candidates(["0 1 2", "2 3"])
+def candidates_file(tmp_path, *lines):
+    path = tmp_path / "c.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_load_candidates_parses_lines(tmp_path):
+    out = load_candidates(candidates_file(tmp_path, "0 1 2", "2 3"))
     assert [c.members for c in out] == [frozenset({0, 1, 2}), frozenset({2, 3})]
 
 
@@ -276,20 +282,21 @@ def test_load_candidates_skips_comments_and_blanks(tmp_path):
     assert [c.members for c in out] == [frozenset({4, 5}), frozenset({6, 7, 8})]
 
 
-def test_load_candidates_rejects_malformed_line():
-    with pytest.raises(InputError, match="malformed"):
-        load_candidates(["0 one 2"])
+def test_load_candidates_rejects_malformed_line(tmp_path):
+    path = candidates_file(tmp_path, "0 1", "0 one 2")
+    with pytest.raises(InputError, match=re.escape(f"{path}:2: malformed")):
+        load_candidates(path)
 
 
-def test_load_candidates_rejects_negative_index():
+def test_load_candidates_rejects_negative_index(tmp_path):
     with pytest.raises(InputError, match="negative"):
-        load_candidates(["0 -3"])
+        load_candidates(candidates_file(tmp_path, "0 -3"))
 
 
-def test_load_candidates_checks_range():
+def test_load_candidates_checks_range(tmp_path):
     with pytest.raises(InputError, match="out of range"):
-        load_candidates(["0 9"], n=5)
-    assert len(load_candidates(["0 4"], n=5)) == 1
+        load_candidates(candidates_file(tmp_path, "0 9"), n=5)
+    assert len(load_candidates(candidates_file(tmp_path, "0 4"), n=5)) == 1
 
 
 def test_load_candidates_empty_raises(tmp_path):
@@ -302,7 +309,7 @@ def test_load_candidates_empty_raises(tmp_path):
 def test_save_load_round_trip(tmp_path):
     cands = [TopicCandidate({5, 1, 3}), TopicCandidate({0, 2})]
     path = tmp_path / "c.txt"
-    save_candidates(cands, path, header="written by the round-trip test")
+    save_candidates(cands, path, header=["written by the round-trip test"])
     loaded = load_candidates(path)
     assert [c.members for c in loaded] == [c.members for c in cands]
     assert path.read_text().startswith("# written by")

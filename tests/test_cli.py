@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hotmine
-from hotmine.cli import _build_parser, _config_from_args, main
+from hotmine.cli import _parse, main
 from hotmine.pipeline import PipelineConfig
 
 COMMON = ["--no-apply-kernel", "--knn-txt", "20", "--knn-vis", "8", "--tau", "0.2"]
@@ -197,27 +197,92 @@ FLAG_VALUES = {
 }
 
 
-def parse_config(base, *flags):
-    argv = ["graph", "--vis", "v.sim", "--txt", "t.sim", "--out", "g.txt", *flags]
-    return _config_from_args(_build_parser(base).parse_args(argv))
+# the required arguments of each subcommand that takes config flags
+COMMAND_ARGV = {
+    "synth": ["--n", "60", "--topic-sizes", "10", "--out-dir", "d"],
+    "graph": ["--vis", "v.sim", "--txt", "t.sim", "--out", "g.txt"],
+    "candidates": ["--graph", "g.txt", "--out", "c.txt"],
+    "rank": ["--graph", "g.txt", "--candidates", "c.txt", "--out", "r.txt"],
+    "bundle": ["--graph", "g.txt", "--candidates", "c.txt", "--out", "b.txt"],
+    "refine": ["--graph", "g.txt", "--candidates", "c.txt", "--out-prefix", "p"],
+    "run": ["--vis", "v.sim", "--txt", "t.sim", "--candidates", "c.txt", "--out-prefix", "p"],
+}
+
+
+def config_file(tmp_path, data):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def parse_config(*flags, config=None, command="graph"):
+    """The config `_parse` builds for `command` with these flags, after
+    `--config config` when a file is given."""
+    head = [] if config is None else ["--config", config]
+    args, parsed = _parse([*head, command, *COMMAND_ARGV[command], *flags])
+    # the flags end up in the config only, not also in the namespace
+    assert not any(hasattr(args, f.name) for f in dataclasses.fields(PipelineConfig))
+    return parsed
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PipelineConfig)])
 def test_each_config_field_has_a_flag(name):
     argv, value = FLAG_VALUES[name]
-    config = parse_config(PipelineConfig(), *argv)
+    config = parse_config(*argv)
     assert getattr(config, name) == value
     assert type(getattr(config, name)) is type(value)
     assert config == dataclasses.replace(PipelineConfig(), **{name: value})
 
 
-def test_flag_types_do_not_follow_config_file_values():
+def test_flag_types_do_not_follow_config_file_values(tmp_path):
     # a config file may give an int where the field holds a float; the flag
     # still parses a float, and no flag's default changes its type
+    file = config_file(tmp_path, {"sigma2_affinity": 2, "apply_kernel": False})
     base = PipelineConfig(sigma2_affinity=2, apply_kernel=False)
-    assert parse_config(base) == base
-    assert parse_config(base, "--sigma2-affinity", "0.5").sigma2_affinity == 0.5
-    assert parse_config(base, "--apply-kernel").apply_kernel is True
+    assert parse_config(config=file) == base
+    assert parse_config("--sigma2-affinity", "0.5", config=file).sigma2_affinity == 0.5
+    assert parse_config("--apply-kernel", config=file).apply_kernel is True
+
+
+FILE_VALUES = {"tau": 0.9, "apply_kernel": False, "cascade_thresholds": [0.2, 0.6], "seed": 5}
+OVERRIDES = (["--tau", "0.3", "--apply-kernel", "--seed", "7"], {"tau": 0.3, "apply_kernel": True, "seed": 7})
+
+
+@pytest.mark.parametrize("command", list(COMMAND_ARGV))
+@pytest.mark.parametrize("file,flags", [
+    (None, ([], {})),
+    (FILE_VALUES, ([], {})),
+    (None, OVERRIDES),
+    (FILE_VALUES, OVERRIDES),
+], ids=["defaults", "file", "flags", "file-and-flags"])
+def test_parse_applies_the_flags_given_over_the_file(tmp_path, command, file, flags):
+    argv, values = flags
+    path = None if file is None else config_file(tmp_path, file)
+    want = dataclasses.replace(PipelineConfig.from_dict(file or {}), **values)
+    assert parse_config(*argv, config=path, command=command) == want
+
+
+def test_wrongly_typed_config_value_exits_one_under_an_overriding_flag(tmp_path, capsys):
+    # the file is checked on its own, before any flag is applied
+    file = config_file(tmp_path, {"tau": "abc"})
+    assert main(["--config", file, "graph", *COMMAND_ARGV["graph"], "--tau", "0.3"]) == 1
+    assert capsys.readouterr().err.splitlines() == ['error: config key tau must be a number, got "abc"']
+
+
+def test_synth_takes_its_seed_from_the_config_file(corpus, tmp_path):
+    out = tmp_path / "from_config"
+    assert main([
+        "--config", config_file(tmp_path, {"seed": 5}),
+        "synth",
+        "--n", "60",
+        "--topic-sizes", "10,10",
+        "--fragments", "3",
+        "--fragment-noise", "2",
+        "--out-dir", str(out),
+    ]) == 0
+    # the corpus fixture passes --seed 5 instead
+    for name in ("vis.sim", "txt.sim", "candidates.txt", "truth.txt"):
+        assert (out / name).read_bytes() == (corpus / name).read_bytes()
 
 
 # ------------------------------------------------------------- failures
@@ -393,13 +458,16 @@ def test_version_flag():
 LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
-def child_output(code):
+def child_run(code, check=True):
     src = str(Path(hotmine.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=check
     )
-    return out.stdout.strip().splitlines()
+
+
+def child_output(code):
+    return child_run(code).stdout.strip().splitlines()
 
 
 def test_every_command_runs_with_scipy_blocked(corpus, tmp_path):
@@ -464,3 +532,32 @@ def test_eval_max_fppt_zero_is_accepted_and_negative_writes_nothing(corpus, tmp_
     assert (tmp_path / "zero_accuracy.csv").is_file()
     assert scores("negative", "-1") == 1
     assert not (tmp_path / "negative_accuracy.csv").exists()
+
+
+def oversized_argv(tmp_path, command):
+    if command == "synth":  # a dense 3M x 3M matrix: 65.5 TiB
+        return ["synth", "--n", "3000000", "--topic-sizes", "5", "--out-dir", str(tmp_path / "synth")]
+    # one candidate of all pages on a 200k-node path: 149 GiB of covered pairs
+    n = 200_000
+    graph, cands = tmp_path / "path.graph", tmp_path / "one.txt"
+    graph.write_text("\n".join([f"{n} {n - 1}", *map("{} {} 0.5".format, range(n - 1), range(1, n))]) + "\n")
+    cands.write_text(" ".join(map(str, range(n))) + "\n")
+    return ["rank", "--graph", str(graph), "--candidates", str(cands), "--out", str(tmp_path / "r.txt")]
+
+
+@pytest.mark.parametrize("command", ["synth", "rank"])
+def test_work_that_does_not_fit_in_memory_exits_one(tmp_path, command):
+    # The child's address space is capped at 2 GiB, so the oversized request
+    # fails at once. Never run these without the cap: under overcommit the
+    # request may be granted, and touching it invites the OOM killer.
+    argv = oversized_argv(tmp_path, command)
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)); "
+        f"from hotmine.cli import main; sys.exit(main({argv!r}))"
+    )
+    out = child_run(code, check=False)
+    assert out.returncode == 1, out.stderr
+    assert "Traceback" not in out.stderr
+    err = out.stderr.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: hotmine {command}: out of memory (Unable to allocate ")

@@ -23,7 +23,6 @@ from hotmine.graph import (
     load_graph,
     load_similarity,
     mix_graphs,
-    save_graph,
     save_similarity,
 )
 from hotmine.pipeline import PipelineConfig, build_mixed_graph
@@ -286,7 +285,7 @@ def test_graph_round_trip_exact(tmp_path):
     rng = np.random.default_rng(6)
     g = knn_sparsify(random_similarity(rng, 9), k=3, kind="mixed")
     path = tmp_path / "g.graph"
-    save_graph(g, path)
+    save_similarity(g, path)
     loaded = load_graph(path)
     np.testing.assert_array_equal(loaded.adjacency.toarray(), g.adjacency.toarray())
 

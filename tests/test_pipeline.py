@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +119,22 @@ def test_config_dict_round_trip():
 def test_config_rejects_unknown_keys():
     with pytest.raises(InputError, match="unknown config keys"):
         PipelineConfig.from_dict({"tau": 0.3, "bogus": 1})
+
+
+def test_readme_config_table_matches_pipeline_config():
+    # each row of the README "Configuration" table names one or more keys in
+    # backticks, and their defaults as a comma-separated JSON list
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    keys, defaults = [], []
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].startswith("`"):
+            keys += re.findall(r"`(\w+)`", cells[0])
+            defaults += json.loads("[" + cells[1].replace("`", "") + "]")
+            assert len(keys) == len(defaults), line
+    assert sorted(keys) == sorted(f.name for f in fields(PipelineConfig))
+    assert dict(zip(keys, defaults)) == PipelineConfig().to_dict()
 
 
 def test_config_from_dict_keeps_values_as_given():
