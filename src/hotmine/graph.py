@@ -16,6 +16,8 @@ triplet text format (see load_similarity).
 
 from __future__ import annotations
 
+import os
+import stat
 import warnings
 from pathlib import Path
 from typing import Any, Callable, NoReturn, TextIO
@@ -26,6 +28,8 @@ from .errors import InputError
 
 SYMMETRY_TOL = 1e-9
 _TRIPLET = np.dtype([("i", np.int32), ("j", np.int32), ("v", np.float64)])
+# names np.loadtxt would open through a decompressor
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _keys(n: int, indptr: np.ndarray, indices: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -250,7 +254,8 @@ def load_similarity(path: str | Path) -> SimilarityMatrix:
     """Read a triplet-format matrix, validating indices and value range.
 
     Memory grows with nnz, not n x n. A `0.0` triplet counts towards nnz
-    but stores no edge; a pair given twice is rejected.
+    but stores no edge; a pair given twice is rejected. The input may be a
+    regular file or a pipe; a compression suffix is not decompressed.
     """
     path = Path(path)
     try:
@@ -266,7 +271,7 @@ def load_similarity(path: str | Path) -> SimilarityMatrix:
                 raise InputError(f"{path}: header values out of range")
             if n >= 2**31:  # page indices are 32-bit
                 raise InputError(f"{path}: header n={n} does not fit in memory (n < 2**31)")
-            arrays = _read_symmetric(fh, n, nnz)
+            arrays = _read_symmetric(fh, path, n, nnz)
             if arrays is None:
                 _raise_first_bad_line(fh, path, n, nnz)
         return SimilarityMatrix._trusted(n, *arrays)
@@ -277,30 +282,44 @@ def load_similarity(path: str | Path) -> SimilarityMatrix:
         raise InputError(f"{path}: the matrix does not fit in memory") from exc
 
 
-def _read_symmetric(fh: TextIO, n: int, nnz: int) -> tuple | None:
-    """CSR arrays of upper + upper.T from the body's upper triangle, parsed
-    in one call and checked as arrays; None if the body does not parse or a
-    check fails. Each large array is freed once used, to keep the peak low."""
+def _read_symmetric(fh: TextIO, path: Path, n: int, nnz: int) -> tuple | None:
+    """CSR arrays of upper + upper.T from the upper triangle in the body
+    after fh's header line, parsed in one call and checked as arrays; None
+    if the body does not parse or a check fails. Each large array is freed
+    once used, to keep the peak low."""
+    # Given a str path, np.loadtxt opens the file itself and reads it in
+    # large chunks; given a file, it iterates it line by line, which is
+    # slower. The path is given where reading the file again is safe: a
+    # regular file whose name has no suffix that np.loadtxt would
+    # decompress. It is absolute, so never taken for a URL.
+    source: dict = dict(fname=fh)
+    if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) and path.suffix not in _COMPRESSED:
+        source = dict(fname=os.path.abspath(path), skiprows=1, encoding=fh.encoding)
     try:
         with warnings.catch_warnings():
             # a body without data lines is valid when nnz is 0
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            rows = np.loadtxt(fh, dtype=_TRIPLET, comments=None, ndmin=1)
+            rows = np.loadtxt(**source, dtype=_TRIPLET, comments=None, ndmin=1)
     except ValueError:
         return None
     i, j, v = rows["i"], rows["j"], rows["v"]
     valid = (0 <= i) & (i < j) & (j < n) & (v >= 0.0) & (v <= 1.0)
     if len(rows) != nnz or not valid.all():
         return None
-    # sorted row-major keys i*n + j show a repeated pair as equal neighbours
+    # Row-major keys i*n + j in strict ascent, as save_similarity writes
+    # them, hold no repeated pair; otherwise sorted keys show one as equal
+    # neighbours.
     keys = i.astype(np.int64) * n + j
-    order = np.argsort(keys)
-    keys = keys[order]
-    if np.any(keys[1:] == keys[:-1]):
-        return None
-    del keys
-    i, j, v = i[order], j[order], v[order]
-    del rows, order
+    if np.all(keys[1:] > keys[:-1]):
+        del keys  # i, j, v stay views of rows: copies raised the peak RSS
+    else:
+        order = np.argsort(keys)
+        keys = keys[order]
+        if np.any(keys[1:] == keys[:-1]):
+            return None
+        del keys
+        i, j, v = i[order], j[order], v[order]
+        del rows, order
     # Row r of upper + upper.T is column r of the upper triangle, rows
     # ascending, then row r of it: the two halves interleave without a sort.
     lower, upper = np.bincount(j, minlength=n), np.bincount(i, minlength=n)
@@ -319,6 +338,8 @@ def _read_symmetric(fh: TextIO, n: int, nnz: int) -> tuple | None:
 
 def _raise_first_bad_line(fh: TextIO, path: Path, n: int, nnz: int) -> NoReturn:
     """Read a rejected body again line by line and raise its first error."""
+    if not fh.seekable():  # a pipe, say: its body is gone
+        raise InputError(f"{path}: malformed triplet body; the input cannot be read again to locate the bad line")
     fh.seek(0)
     fh.readline()
     pairs: set[int] = set()

@@ -261,36 +261,40 @@ def write_detections(result: PipelineResult, path: str | Path) -> None:
 def write_provenance(result: PipelineResult, path: str | Path) -> None:
     """Write the config, the stage and every detection's fields, but no
     wall-clock timings, so a rerun on the same inputs writes the same bytes:
-    those of json.dumps(record, indent=2, sort_keys=True) + "\\n", written by
-    _json as json.dumps with an indent never uses its C encoder."""
-    names = [f.name for f in fields(DetectedTopic)]
-    detections = [{name: getattr(det, name) for name in names} for det in result.detections]
-    record = {"config": result.config.to_dict(), "detections": detections, "stage": result.stage}
-    Path(path).write_text(_json(record, "") + "\n")
+    those of json.dumps(record, indent=2, sort_keys=True) + "\\n". Each
+    detection fills one template, as json.dumps with an indent never uses
+    its C encoder. The pieces go to the file unjoined, so the record is
+    never held whole as one string."""
+    config = json.dumps(result.config.to_dict(), indent=2, sort_keys=True).replace("\n", "\n  ")
+    parts = [f'{{\n  "config": {config},\n  "detections": [']
+    for det in result.detections:
+        parts.append(",\n    " if len(parts) > 1 else "\n    ")
+        parts.append(_DETECTION.format_map({name: _field(getattr(det, name)) for name in _NAMES}))
+    parts.append("\n  ]" if result.detections else "]")
+    parts.append(f',\n  "stage": {json.dumps(result.stage)}\n}}\n')
+    with Path(path).open("w") as out:
+        out.writelines(parts)
 
 
-def _json(value, pad: str) -> str:
-    """value as json.dumps(indent=2, sort_keys=True) writes it at indentation
-    pad, frozensets as sorted lists. A list whose first item is an int or a
-    float goes through int.__repr__ or float.__repr__ whole, so a numpy int
-    in it raises TypeError as in json.dumps; JSON spells nan NaN, inf Infinity."""
-    inner = pad + "  "
-    if isinstance(value, dict):
-        rows = [f"{json.dumps(key)}: {_json(value[key], inner)}" for key in sorted(value)]
-    elif isinstance(value, (frozenset, tuple, list)):
-        items = sorted(value) if isinstance(value, frozenset) else value
-        kind = type(items[0]) if items else None
-        if kind not in (int, float):
-            rows = [_json(item, inner) for item in items]
-        else:  # all numbers, as one row
-            row = f",\n{inner}".join(map(kind.__repr__, items))
-            rows = [row.replace("inf", "Infinity").replace("nan", "NaN")]
-    else:  # a scalar
-        return json.dumps(value)
-    brackets = "{}" if isinstance(value, dict) else "[]"
-    if not rows:
-        return brackets
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(rows) + f"\n{pad}{brackets[1]}"
+_NAMES = sorted(f.name for f in fields(DetectedTopic))
+# a detection as json.dumps(indent=2, sort_keys=True) writes it in the record
+_DETECTION = "{{\n" + ",\n".join(f"      {json.dumps(name)}: {{{name}}}" for name in _NAMES) + "\n    }}"
+
+
+def _field(value) -> str:
+    """A detection field as _DETECTION holds it, frozensets as sorted lists.
+    A list of ints or of floats is joined through int.__repr__ or
+    float.__repr__, as json.dumps does, NaN and Infinity spelled as JSON
+    spells them; anything else, a numpy int among them, goes to json.dumps,
+    which also raises TypeError on a numpy int."""
+    if not isinstance(value, (frozenset, tuple)):
+        return int.__repr__(value) if type(value) is int else json.dumps(value)
+    items = sorted(value) if isinstance(value, frozenset) else value
+    kind = type(items[0]) if items else None
+    if kind in (int, float) and set(map(type, items)) == {kind}:
+        row = ",\n        ".join(map(kind.__repr__, items))
+        return f"[\n        {row.replace('inf', 'Infinity').replace('nan', 'NaN')}\n      ]"
+    return json.dumps(list(items), indent=2).replace("\n", "\n      ")
 
 
 def write_report(result: PipelineResult, stem: str | Path) -> list[Path]:

@@ -1,7 +1,11 @@
 """Shared helpers for the test suite."""
 
+import contextlib
 import gc
+import os
+import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,23 @@ def corpus(tmp_path):
     ])
     assert rc == 0
     return out
+
+
+@contextlib.contextmanager
+def fed_fifo(path: Path, text: str):
+    """A FIFO at path that a thread fills with text (under 64 KiB, a pipe's
+    buffer) once a reader opens it."""
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=(text,))
+    writer.start()
+    try:
+        yield path
+    finally:
+        # lets a writer that no reader met finish, and be joined
+        unblock = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        writer.join(timeout=10)
+        os.close(unblock)
+    assert not writer.is_alive(), f"the writer of {path} did not finish"
 
 
 def graph_from_dense(values, kind: str = "mixed") -> SimilarityGraph:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import hotmine
+from conftest import fed_fifo
 from hotmine.cli import _parse, main
 from hotmine.pipeline import PipelineConfig
 
@@ -427,6 +428,17 @@ def test_oversized_similarity_header_exits_one(corpus, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: ") and "does not fit in memory" in err[0]
+
+
+def test_bad_body_from_a_pipe_exits_one(corpus, tmp_path, capsys):
+    # the body cannot be read again to find its bad line
+    with fed_fifo(tmp_path / "vis.sim", "3 2\n0 1 0.5\n0 1 0.5\n") as fifo:
+        rc = main(["graph", "--vis", str(fifo), "--txt", str(corpus / "txt.sim"), "--out", str(tmp_path / "g.graph")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {fifo}: ") and "cannot be read again to locate the bad line" in err[0]
+    assert not (tmp_path / "g.graph").exists()
 
 
 @pytest.mark.parametrize("flag", ["--vis", "--candidates", "--config"])

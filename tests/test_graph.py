@@ -1,5 +1,8 @@
 """Similarity matrices, Gaussian affinities, kNN sparsification, mixing, file I/O."""
 
+import contextlib
+import io
+import os
 import time
 import tracemalloc
 import warnings
@@ -11,7 +14,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import graph_from_dense, loglog_fit, random_similarity
+from conftest import fed_fifo, graph_from_dense, loglog_fit, random_similarity
 from hotmine.errors import InputError
 from hotmine.graph import (
     SimilarityGraph,
@@ -386,6 +389,98 @@ def test_load_similarity_memory_error_is_input_error(tmp_path, monkeypatch):
     path.write_text("3 1\n0 1 0.5\n")
     with pytest.raises(InputError, match="does not fit in memory"):
         load_similarity(path)
+
+
+# --------------------------------------------------------------- loader routes
+# np.loadtxt parses a regular file from its path, in large chunks, and a pipe
+# or a name with a compression suffix from the open file, line by line.
+
+ROUTES = ["file", "fifo", "gz"]
+
+
+@contextlib.contextmanager
+def triplet_source(tmp_path, route, text):
+    """text as a regular file, a FIFO fed by a thread, or a plain-text file
+    named *.gz."""
+    if route == "fifo":
+        with fed_fifo(tmp_path / "m.sim", text) as path:
+            yield path
+    else:
+        path = tmp_path / ("m.sim.gz" if route == "gz" else "m.sim")
+        path.write_text(text)
+        yield path
+
+
+def csr_arrays(m):
+    return m.indptr, m.indices, m.data
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["5 5\n2 4 0.25\r\n\n0 1 0.5\n1 3 0.0\n\t0 4   1.0\n3 4 1e-3\n", "3 0\n", "3 0", "3 0\n \n"],
+    ids=["shuffled-crlf-blank-zero", "empty", "no-newline", "blank"],
+)
+def test_loader_routes_load_identical_arrays(tmp_path, text):
+    loaded = {}
+    for route in ROUTES:
+        (tmp_path / route).mkdir()
+        with triplet_source(tmp_path / route, route, text) as path:
+            loaded[route] = load_similarity(path)
+    want = loaded["file"]
+    np.testing.assert_array_equal(want.values, reference_load_similarity(tmp_path / "file" / "m.sim"))
+    for route in ROUTES:
+        assert loaded[route].n == want.n
+        for got, expected in zip(csr_arrays(loaded[route]), csr_arrays(want)):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected), route
+
+
+@pytest.mark.parametrize("route, source", [("file", str), ("fifo", io.TextIOWrapper), ("gz", io.TextIOWrapper)])
+def test_loader_parses_only_a_regular_file_from_its_path(tmp_path, monkeypatch, route, source):
+    # a regression back to line iteration fails here on any machine
+    seen = []
+    loadtxt = np.loadtxt
+
+    def spy(fname, *args, **kwargs):
+        seen.append(fname)
+        return loadtxt(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    with triplet_source(tmp_path, route, "3 1\n0 2 0.5\n") as path:
+        load_similarity(path)
+    assert [type(fname) for fname in seen] == [source]
+    if source is str:
+        assert os.path.isabs(seen[0]) and os.path.samefile(seen[0], path)
+
+
+def test_shuffled_body_loads_as_sorted(tmp_path):
+    m = random_similarity(np.random.default_rng(3), 30, density=0.4)
+    ordered = tmp_path / "sorted.sim"
+    save_similarity(m, ordered)
+    header, *lines = ordered.read_text().splitlines()
+    np.random.default_rng(4).shuffle(lines)
+    shuffled = tmp_path / "shuffled.sim"
+    shuffled.write_text("\n".join([header, *lines]) + "\n")
+    assert shuffled.read_text() != ordered.read_text()
+    for got, want in zip(csr_arrays(load_similarity(shuffled)), csr_arrays(load_similarity(ordered))):
+        assert np.array_equal(got, want)
+    for got, want in zip(csr_arrays(load_similarity(ordered)), csr_arrays(m)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("body", ["0 1 0.5\n0 1 0.5\n", "0 1 0.5\n1 2 0.5\n0 1 0.5\n"], ids=["adjacent", "apart"])
+def test_repeated_pair_is_rejected_in_any_order(tmp_path, body):
+    path = tmp_path / "m.sim"
+    path.write_text(f"3 {body.count(chr(10))}\n{body}")
+    lineno = 1 + len(body.splitlines())
+    with pytest.raises(InputError, match=rf"{path}:{lineno}: duplicate pair \(0, 1\)"):
+        load_similarity(path)
+
+
+def test_bad_body_from_a_pipe_names_the_file(tmp_path):
+    with fed_fifo(tmp_path / "bad.sim", "3 2\n0 1 0.5\n0 1 0.5\n") as path:
+        with pytest.raises(InputError) as caught:
+            load_similarity(path)
+    assert str(caught.value).startswith(f"{path}: ") and "cannot be read again to locate the bad line" in str(caught.value)
 
 
 def test_matrix_is_canonical_csr():

@@ -437,6 +437,7 @@ NONFINITE = replace(
 @example(PipelineConfig(), "rank", [])
 @example(PipelineConfig(cascade_thresholds=()), "bundle", [BYPASSED])
 @example(PipelineConfig(sigma2_affinity=2.5), "refine", [NONFINITE, BYPASSED])
+@example(PipelineConfig(), "refine", [replace(NONFINITE, pi=(1, 0.5, True), gains=(2,), deltas=(0.5, -1))])
 def test_provenance_bytes_match_json_dumps(tmp_path_factory, config, stage, dets):
     result = PipelineResult(config, stage, dets, None)
     path = tmp_path_factory.mktemp("provenance") / "provenance.json"
