@@ -12,6 +12,7 @@ scipy, except the graph's adjacency view.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -33,7 +34,7 @@ class TopicCandidate:
     weight: float | None = None
 
     def __post_init__(self) -> None:
-        members = frozenset(int(m) for m in self.members)
+        members = index_set(self.members)
         if not members:
             raise InputError("candidate must have at least one member")
         if min(members) < 0:
@@ -50,6 +51,16 @@ class TopicCandidate:
 
     def sorted_members(self) -> list[int]:
         return sorted(self.members)
+
+
+def index_set(members: Iterable) -> frozenset[int]:
+    """members as a frozenset of Python ints, numpy ints among them; a
+    member that is no integer, such as 1.5, raises InputError rather than
+    being truncated."""
+    try:
+        return frozenset(map(index, members))
+    except TypeError as exc:
+        raise InputError(f"members must be integer indices: {exc}") from exc
 
 
 def cascade_candidates(
@@ -116,14 +127,14 @@ def load_candidates(path: str | Path, n: int | None = None) -> list[TopicCandida
         if not line or line.startswith("#"):
             continue
         try:
-            members = [int(tok) for tok in line.split()]
+            members = list(map(int, line.split()))
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: malformed candidate line") from exc
-        if any(m < 0 for m in members):
+        if min(members) < 0:
             raise InputError(f"{path}:{lineno}: negative index")
-        if n is not None and any(m >= n for m in members):
+        if n is not None and max(members) >= n:
             raise InputError(f"{path}:{lineno}: index out of range (n={n})")
-        out.append(TopicCandidate(frozenset(members)))
+        out.append(TopicCandidate(members))
     if not out:
         raise InputError(f"{path}: no candidates")
     return out

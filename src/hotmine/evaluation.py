@@ -15,7 +15,8 @@ Two complementary views:
 
 Each curve takes one matching walk over the ranked list (F1 or NIR as the
 score) and one pass over its results, so evaluation costs detections x
-truth topics.
+truth topics. evaluate turns each detection into a set once, and the walks
+score a (detection, truth topic) pair from one intersection size.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from operator import neg
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .candidates import load_candidates
+from .candidates import index_set, load_candidates
 from .errors import InputError
 
 NIR_SUCCESS_THRESHOLD = 0.5
@@ -62,8 +63,19 @@ class EvaluationReport:
 
 
 def _as_set(obj) -> frozenset[int]:
-    members = getattr(obj, "members", obj)
-    return frozenset(int(m) for m in members)
+    return index_set(getattr(obj, "members", obj))
+
+
+def _f1(hit: int, size: int, other: int) -> float:
+    if hit == 0:
+        return 0.0
+    precision = hit / size
+    recall = hit / other
+    return 2.0 * precision * recall / (precision + recall)
+
+
+def _nir(hit: int, size: int, other: int) -> float:
+    return hit / (size + other - hit)  # |D & G| / |D | G|
 
 
 def f1(detected, truth) -> float:
@@ -71,12 +83,7 @@ def f1(detected, truth) -> float:
     d, g = _as_set(detected), _as_set(truth)
     if not d or not g:
         raise InputError("f1 requires nonempty sets")
-    hit = len(d & g)
-    if hit == 0:
-        return 0.0
-    precision = hit / len(d)
-    recall = hit / len(g)
-    return 2.0 * precision * recall / (precision + recall)
+    return _f1(len(d & g), len(d), len(g))
 
 
 def nir(detected, truth) -> float:
@@ -84,34 +91,36 @@ def nir(detected, truth) -> float:
     d, g = _as_set(detected), _as_set(truth)
     if not d or not g:
         raise InputError("nir requires nonempty sets")
-    return len(d & g) / len(d | g)
+    return _nir(len(d & g), len(d), len(g))
 
 
 def _match(
-    ranked_detections: Sequence, truth: GroundTruth, score, threshold: float
+    detections: list[frozenset[int]], truth: GroundTruth, score, threshold: float
 ) -> list[tuple[float, bool]]:
     """Greedy rank-order matching: (best score, consumed) per detection.
 
-    Each detection is scored against the still unmatched truth topics; only
-    a strictly higher score replaces the best so far, so ties go to the
-    lower index. The best topic is consumed only if its score exceeds
-    threshold; otherwise the detection leaves every topic free.
+    detections are member sets already; score is _f1 or _nir of the
+    intersection and the two sizes. Each detection is scored against the
+    still unmatched truth topics; only a strictly higher score replaces
+    the best so far, so ties go to the lower index. The best topic is
+    consumed only if its score exceeds threshold; otherwise the detection
+    leaves every topic free.
     """
-    detections = [_as_set(d) for d in ranked_detections]
     if not detections:
         raise InputError("no detections to evaluate")
-    used: set[int] = set()
+    free = [(topic, len(topic)) for topic in map(_as_set, truth.topics)]
+    name = "f1" if score is _f1 else "nir"
     matches: list[tuple[float, bool]] = []
     for det in detections:
-        best, best_gi = 0.0, None
-        for gi, topic in enumerate(truth.topics):
-            if gi in used:
-                continue
-            s = score(det, topic)
+        best, best_at, size = 0.0, None, len(det)
+        if not size and free:
+            raise InputError(f"{name} requires nonempty sets")
+        for at, (topic, other) in enumerate(free):
+            s = score(len(det & topic), size, other)
             if s > best:
-                best, best_gi = s, gi
+                best, best_at = s, at
         if best > threshold:
-            used.add(best_gi)
+            del free[best_at]
         matches.append((best, best > threshold))
     return matches
 
@@ -120,9 +129,15 @@ def top10_f1_vs_ndt(
     ranked_detections: Sequence, truth: GroundTruth, max_ndt: int
 ) -> list[tuple[int, float]]:
     """Curve of mean top-10 F1 for each detection-count cutoff 1..max_ndt."""
+    return _top10_f1_vs_ndt(list(map(_as_set, ranked_detections)), truth, max_ndt)
+
+
+def _top10_f1_vs_ndt(
+    detections: list[frozenset[int]], truth: GroundTruth, max_ndt: int
+) -> list[tuple[int, float]]:
     if max_ndt < 1:
         raise InputError("max_ndt must be >= 1")
-    scores = [s for s, _ in _match(ranked_detections, truth, f1, 0.0)]
+    scores = [s for s, _ in _match(detections, truth, _f1, 0.0)]
     # the <= TOP_K best scores so far, kept and summed in descending order:
     # the same floats as sorting every prefix
     top: list[float] = []
@@ -146,7 +161,13 @@ def accuracy_vs_fppt(
     still unmatched truth topic exceeds 0.5 strictly; anything else is a
     false positive. Failed detections consume no truth topic.
     """
-    matches = _match(ranked_detections, truth, nir, NIR_SUCCESS_THRESHOLD)
+    return _accuracy_vs_fppt(list(map(_as_set, ranked_detections)), truth, max_fppt)
+
+
+def _accuracy_vs_fppt(
+    detections: list[frozenset[int]], truth: GroundTruth, max_fppt: int | None
+) -> list[tuple[int, float]]:
+    matches = _match(detections, truth, _nir, NIR_SUCCESS_THRESHOLD)
     # a point at FPPT x fits an integer budget b exactly when ceil(x) <= b:
     # keep the best accuracy per ceil(x), then take a running max over b
     successes, fppt, best = 0, 0.0, {}
@@ -165,12 +186,12 @@ def evaluate(
     max_ndt: int | None = None,
     max_fppt: int | None = None,
 ) -> EvaluationReport:
-    """Bundle both curves into a report."""
-    detections = [_as_set(d) for d in ranked_detections]
+    """Bundle both curves into a report; each detection becomes a set once."""
+    detections = list(map(_as_set, ranked_detections))
     ndt_cap = max_ndt if max_ndt is not None else max(len(detections), TOP_K)
     return EvaluationReport(
-        top10_f1_curve=tuple(top10_f1_vs_ndt(detections, truth, ndt_cap)),
-        accuracy_fppt_curve=tuple(accuracy_vs_fppt(detections, truth, max_fppt)),
+        top10_f1_curve=tuple(_top10_f1_vs_ndt(detections, truth, ndt_cap)),
+        accuracy_fppt_curve=tuple(_accuracy_vs_fppt(detections, truth, max_fppt)),
     )
 
 

@@ -80,16 +80,16 @@ def _checked(matrix: Any, what: str, tol: float) -> tuple:
         raise InputError(f"{what} must be square, got shape {shape}")
     n = shape[0]
     dense = np.asarray(matrix, dtype=float)
+    if not np.all(np.isfinite(dense)):
+        raise InputError(f"{what} contains a non-finite entry")
+    asymmetry = dense - dense.T  # the one n x n float temporary, freed below
+    if np.any(np.abs(asymmetry, out=asymmetry) > tol):
+        raise InputError(f"{what} is not symmetric within {tol:g}")
+    del asymmetry
     nonzero = dense != 0.0  # row-major, as CSR stores them
     indptr = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
     indices = np.broadcast_to(np.arange(n, dtype=np.int32), (n, n))[nonzero]
     data = dense[nonzero]
-    with np.errstate(invalid="ignore"):  # inf - inf; a non-finite entry fails first
-        asymmetry = dense - dense.T
-    if not np.all(np.isfinite(data)):
-        raise InputError(f"{what} contains a non-finite entry")
-    if np.any(np.abs(asymmetry) > tol):
-        raise InputError(f"{what} is not symmetric within {tol:g}")
     if np.any((data < 0.0) | (data > 1.0)):
         raise InputError(f"{what} values must lie in [0, 1]")
     if dense.diagonal().any():
@@ -202,7 +202,7 @@ def knn_sparsify(affinity: SimilarityMatrix, k: int, kind: str = "mixed") -> Sim
     keep = np.ones(len(a.data), dtype=bool)
     # Rows of one degree stack into a (rows x degree) block without padding;
     # there are at most sqrt(2 nnz) distinct degrees.
-    for d in np.unique(degree[degree > k]):
+    for d in np.flatnonzero(np.bincount(degree[degree > k])):  # ascending
         pos = a.indptr[np.flatnonzero(degree == d), None] + np.arange(d)
         block = a.data[pos]
         kth = np.partition(block, d - k, axis=1)[:, d - k, None]

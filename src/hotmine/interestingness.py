@@ -63,18 +63,40 @@ def similarity_stack(
         raise InputError("a similarity stack needs topics of one size")
     nodes = np.array([sorted(topic.members) for topic in topics], dtype=np.int64)
     count, m = nodes.shape
-    weights = np.zeros((count, m, m))
-    for block, topic, row in zip(weights.reshape(count, m * m), topics, nodes.tolist()):
-        pos = {node: i for i, node in enumerate(row)}
-        for k in topic.sources:
+    depth = max(len(topic.sources) for topic in topics)
+    # one slot per (topic, source position); a topic's slots past its last
+    # source hold no member and weight 0
+    slots, weight, sizes, members = [], [], [], []
+    for t, topic in enumerate(topics):
+        for s, k in enumerate(topic.sources):
             if k < 0 or k >= len(candidates):
                 raise InputError(f"source index {k} outside candidate list")
             cand = candidates[k]
             if cand.weight is None:
                 raise InputError(f"candidate {k} has no weight; rank before refining")
-            idx = np.asarray([pos[u] for u in cand.members if u in pos])
-            if idx.size >= 2:
-                block[idx[:, None] * m + idx] += cand.weight
+            slots.append(t * depth + s)
+            weight.append(cand.weight)
+            sizes.append(len(cand.members))
+            members.extend(cand.members)
+    source_weight = np.zeros((count, depth))
+    source_weight.ravel()[slots] = weight
+    # each member's position in its topic, from one search over the topics'
+    # node ids offset by topic, ending in a key above every needle: the
+    # (T, S, m) membership of the sources
+    members = np.asarray(members, dtype=np.int64)
+    slot = np.repeat(np.asarray(slots, dtype=np.int64), sizes)
+    span = int(max(nodes.max(initial=0), members.max(initial=0))) + 1
+    keys = np.append(nodes + np.arange(count)[:, None] * span, count * span)
+    needles = members + slot // depth * span
+    at = np.searchsorted(keys, needles)
+    hit = keys[at] == needles
+    held = np.zeros((count, depth, m), dtype=bool)
+    held.reshape(count * depth, m)[slot[hit], at[hit] % m] = True
+    # source by source in order: each covered pair adds the source's weight
+    weights = np.zeros((count, m, m))
+    for s in range(depth):
+        pair = held[:, s, :, None] & held[:, s, None, :]
+        np.add(weights, source_weight[:, s, None, None], out=weights, where=pair)
     weights.reshape(count, m * m)[:, :: m + 1] = 0.0
     return nodes, weights
 

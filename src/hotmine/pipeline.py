@@ -8,8 +8,9 @@ The driver glues the stages together behind one config object:
 3. for each coarse topic, rebuild the model similarity over its members,
    score members by damped PageRank, greedily order them by marginal
    goodness gain, and cut at the sharpest relative drop. Topics are refined
-   in stacks of equal size: one vectorized pass per (size, chunk), plus
-   O(members) per topic to build its record;
+   in stacks of equal size: one vectorized pass per (size, chunk), a few
+   Python steps per source candidate, and one record per topic, O(members)
+   to fill; a topic that passes through gets its record and no other;
 4. optionally score the detections against ground truth.
 
 `stop_after` lets callers run the weaker prefixes of the pipeline (rank
@@ -22,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import Field, asdict, dataclass, fields
 from math import inf, isfinite
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -192,11 +194,13 @@ def _refine_topics(
 ) -> list[DetectedTopic]:
     """One detection per coarse topic, in rank order; topics of more than two
     members are refined in stacks of equal size, the rest pass through."""
-    out = [DetectedTopic(pos, t.members, t.members, t.sources, True) for pos, t in enumerate(coarse)]
+    out: list = [None] * len(coarse)
     sizes: dict[int, list[int]] = {}
     for pos, topic in enumerate(coarse):
         if refine and len(topic.members) > 2:
             sizes.setdefault(len(topic.members), []).append(pos)
+        else:
+            out[pos] = DetectedTopic(pos, topic.members, topic.members, topic.sources, True)
     for m, positions in sizes.items():
         step = max(1, STACK_FLOATS // (m * m))
         for chunk in (positions[lo : lo + step] for lo in range(0, len(positions), step)):
@@ -208,8 +212,9 @@ def _refine_topics(
             picked = np.take_along_axis(nodes, order, axis=1).tolist()
             rows = zip(chunk, picked, cuts, pi.tolist(), gains.tolist(), deltas.tolist(), lengths)
             for pos, sel, cut, p, g, dl, length in rows:
+                topic = coarse[pos]
                 out[pos] = DetectedTopic(
-                    pos, frozenset(sel[: cut + 1]), out[pos].members, out[pos].sources, False,
+                    pos, frozenset(sel[: cut + 1]), topic.members, topic.sources, False,
                     tuple(p), tuple(sel), tuple(g), tuple(dl[:length]), cut,
                 )
     return out
@@ -262,14 +267,14 @@ def write_provenance(result: PipelineResult, path: str | Path) -> None:
     """Write the config, the stage and every detection's fields, but no
     wall-clock timings, so a rerun on the same inputs writes the same bytes:
     those of json.dumps(record, indent=2, sort_keys=True) + "\\n". Each
-    detection fills one template, as json.dumps with an indent never uses
-    its C encoder. The pieces go to the file unjoined, so the record is
-    never held whole as one string."""
+    detection fills one positional template, as json.dumps with an indent
+    never uses its C encoder. The pieces go to the file unjoined, so the
+    record is never held whole as one string."""
     config = json.dumps(result.config.to_dict(), indent=2, sort_keys=True).replace("\n", "\n  ")
     parts = [f'{{\n  "config": {config},\n  "detections": [']
     for det in result.detections:
         parts.append(",\n    " if len(parts) > 1 else "\n    ")
-        parts.append(_DETECTION.format_map({name: _field(getattr(det, name)) for name in _NAMES}))
+        parts.append(_DETECTION.format(*map(_field, _FIELDS(det))))
     parts.append("\n  ]" if result.detections else "]")
     parts.append(f',\n  "stage": {json.dumps(result.stage)}\n}}\n')
     with Path(path).open("w") as out:
@@ -277,24 +282,40 @@ def write_provenance(result: PipelineResult, path: str | Path) -> None:
 
 
 _NAMES = sorted(f.name for f in fields(DetectedTopic))
+_FIELDS = attrgetter(*_NAMES)
 # a detection as json.dumps(indent=2, sort_keys=True) writes it in the record
-_DETECTION = "{{\n" + ",\n".join(f"      {json.dumps(name)}: {{{name}}}" for name in _NAMES) + "\n    }}"
+_DETECTION = "{{\n" + ",\n".join(
+    f"      {json.dumps(name)}: {{{k}}}" for k, name in enumerate(_NAMES)
+) + "\n    }}"
+_SCALARS = {None: "null", False: "false", True: "true"}
+_INT, _FLOAT = {int}, {float}
 
 
 def _field(value) -> str:
     """A detection field as _DETECTION holds it, frozensets as sorted lists.
-    A list of ints or of floats is joined through int.__repr__ or
-    float.__repr__, as json.dumps does, NaN and Infinity spelled as JSON
-    spells them; anything else, a numpy int among them, goes to json.dumps,
-    which also raises TypeError on a numpy int."""
+    An int, a bool or None is spelled directly. A list of ints or of floats
+    is joined through int.__repr__ or float.__repr__, as json.dumps does,
+    NaN and Infinity spelled as JSON spells them; anything else, a numpy
+    int among them, goes to json.dumps, which also raises TypeError on a
+    numpy int."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool or value is None:
+        return _SCALARS[value]
     if not isinstance(value, (frozenset, tuple)):
-        return int.__repr__(value) if type(value) is int else json.dumps(value)
+        return json.dumps(value)
     items = sorted(value) if isinstance(value, frozenset) else value
-    kind = type(items[0]) if items else None
-    if kind in (int, float) and set(map(type, items)) == {kind}:
-        row = ",\n        ".join(map(kind.__repr__, items))
-        return f"[\n        {row.replace('inf', 'Infinity').replace('nan', 'NaN')}\n      ]"
-    return json.dumps(list(items), indent=2).replace("\n", "\n      ")
+    kinds = set(map(type, items))
+    if kinds == _INT:
+        row = ",\n        ".join(map(int.__repr__, items))
+    elif kinds == _FLOAT:
+        row = ",\n        ".join(map(float.__repr__, items))
+        if "n" in row:  # only inf and nan spell an n
+            row = row.replace("inf", "Infinity").replace("nan", "NaN")
+    else:
+        return json.dumps(list(items), indent=2).replace("\n", "\n      ")
+    return f"[\n        {row}\n      ]"
 
 
 def write_report(result: PipelineResult, stem: str | Path) -> list[Path]:

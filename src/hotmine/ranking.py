@@ -24,6 +24,7 @@ noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -38,6 +39,9 @@ MEAN_GUARD = 1e-12
 
 DEFAULT_MAX_ITER = 500
 DEFAULT_TOL = 1e-6
+
+# Most pair keys the coverage build computes in one block: 2 MiB of int64.
+KEY_BLOCK = 2 ** 18
 
 
 @dataclass
@@ -65,22 +69,37 @@ class _Coverage:
         if not candidates:
             raise InputError("no candidates to weight")
         n = g.n
-        sizes = np.asarray([cand.size for cand in candidates], dtype=np.int64)
+        members = [cand.members for cand in candidates]
+        sizes = np.fromiter(map(len, members), dtype=np.int64, count=len(members))
         n_pairs = sizes * (sizes - 1) // 2
         ends = np.cumsum(n_pairs)
+        # every candidate's members ascending, one candidate after another
+        heads = np.cumsum(sizes) - sizes
+        flat = np.fromiter(chain.from_iterable(map(sorted, members)), dtype=np.int64, count=int(sizes.sum()))
+        largest = flat[heads + sizes - 1]
+        outside = np.flatnonzero(largest >= n)
+        if len(outside):
+            raise InputError(f"candidate member {largest[outside[0]]} outside graph (n={n})")
+        # A candidate's keys run in lexicographic (i, j) order, i < j, as
+        # triu_indices gives them; the candidates of one size take one block
+        # of at most KEY_BLOCK keys at a time (a larger candidate, a block
+        # of its own, is copied as a slice).
         keys = np.empty(int(ends[-1]), dtype=np.int64)
-        triu: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # per candidate size
+        for size in np.flatnonzero(np.bincount(sizes)[2:]) + 2:
+            iu, ju = np.triu_indices(size, 1)
+            same = np.flatnonzero(sizes == size)
+            step = max(1, KEY_BLOCK // len(iu))
+            for ks in (same[lo : lo + step] for lo in range(0, len(same), step)):
+                rows = flat[heads[ks, None] + np.arange(size)]
+                block = np.take(rows * n, iu, axis=1)
+                block += np.take(rows, ju, axis=1)
+                if len(ks) == 1:
+                    keys[ends[ks[0]] - len(iu) : ends[ks[0]]] = block[0]
+                else:
+                    keys[(ends[ks] - len(iu))[:, None] + np.arange(len(iu))] = block
         holders: dict[int, list[int]] = {}  # page -> candidates holding it
-        for k, (cand, end) in enumerate(zip(candidates, ends.tolist())):
-            members = np.asarray(cand.sorted_members(), dtype=np.int64)
-            if members[-1] >= n:
-                raise InputError(f"candidate member {members[-1]} outside graph (n={n})")
-            # triu_indices runs in lexicographic (i, j) order, i < j
-            if len(members) not in triu:
-                triu[len(members)] = np.triu_indices(len(members), 1)
-            iu, ju = triu[len(members)]
-            keys[end - len(iu) : end] = members[iu] * n + members[ju]
-            for page in cand.members:
+        for k, pages in enumerate(members):
+            for page in pages:
                 holders.setdefault(page, []).append(k)
         if not len(keys):
             raise InputError("no candidate covers any edge of the graph")

@@ -133,14 +133,26 @@ def _similarity(
     rng: np.random.Generator, scenario: SyntheticScenario, topics: list[list[int]]
 ) -> SimilarityMatrix:
     n = scenario.n_webpages
-    raw = scenario.noise_similarity + scenario.jitter * rng.standard_normal((n, n))
+    raw = rng.standard_normal((n, n))
+    raw *= scenario.jitter
+    raw += scenario.noise_similarity
     for pages in topics:
         block = np.ix_(pages, pages)
         raw[block] = scenario.intra_similarity + scenario.jitter * rng.standard_normal(
             (len(pages), len(pages))
         )
-    v = np.triu(np.clip(raw, 0.0, 1.0), 1)
-    return SimilarityMatrix(v + v.T)
+    np.clip(raw, 0.0, 1.0, out=raw)
+    # v + v.T of the strict upper triangle v, one band of columns at a time:
+    # every entry is >= 0, so adding the zero across the diagonal is a copy
+    for lo in range(0, n, _BAND):
+        hi = min(lo + _BAND, n)
+        tile = np.triu(raw[lo:hi, lo:hi], 1)
+        raw[lo:hi, lo:hi] = tile + tile.T
+        raw[hi:, lo:hi] = raw[lo:hi, hi:].T
+    return SimilarityMatrix(raw)
+
+
+_BAND = 512
 
 
 def generate_synthetic(scenario: SyntheticScenario, seed: int = 0) -> SyntheticData:

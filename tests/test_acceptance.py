@@ -204,6 +204,7 @@ def test_a7_full_pipeline_beats_its_ablations_in_heavy_noise():
     assert time.perf_counter() - start < 120.0
 
 
+@pytest.mark.timing
 def test_a8_bundling_time_scales_linearly_in_candidates():
     rng = np.random.default_rng(11)
     sizes = (1000, 2000, 4000)

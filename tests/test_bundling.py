@@ -275,6 +275,7 @@ def test_nms_rejects_empty_member_set_at_any_position(sets):
         nms_dedupe(as_coarse(sets), overlap_thresh=0.4)
 
 
+@pytest.mark.timing
 def test_nms_time_scales_linearly_in_topics():
     rng = np.random.default_rng(12)
     sizes = (1000, 2000, 4000)

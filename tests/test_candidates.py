@@ -1,6 +1,7 @@
 """Threshold-cascade candidate generation and the candidate file format."""
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +52,19 @@ def test_candidate_rejects_empty_members():
 def test_candidate_rejects_negative_members():
     with pytest.raises(InputError, match="nonnegative"):
         TopicCandidate({-1, 2})
+
+
+@pytest.mark.parametrize("members", [frozenset({1.5}), [0, 2.0], {np.float64(3.0)}, ["4"]])
+def test_candidate_rejects_non_integer_members(members):
+    # int() would truncate 1.5 to 1 and read "4" as 4
+    with pytest.raises(InputError, match="integer"):
+        TopicCandidate(members)
+
+
+def test_candidate_turns_numpy_ints_into_python_ints():
+    c = TopicCandidate(np.array([4, 2], dtype=np.int32).tolist() + [np.int64(7), np.uint8(0)])
+    assert c.members == {0, 2, 4, 7}
+    assert {type(m) for m in c.members} == {int}
 
 
 # --------------------------------------------------------------- cascade
@@ -304,6 +318,56 @@ def test_load_candidates_empty_raises(tmp_path):
     path.write_text("# nothing here\n")
     with pytest.raises(InputError, match="no candidates"):
         load_candidates(path)
+
+
+def reference_load_candidates(path, n=None):
+    """The loader before it mapped int over each line and took min and max."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
+    out = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            members = [int(tok) for tok in line.split()]
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: malformed candidate line") from exc
+        if any(m < 0 for m in members):
+            raise InputError(f"{path}:{lineno}: negative index")
+        if n is not None and any(m >= n for m in members):
+            raise InputError(f"{path}:{lineno}: index out of range (n={n})")
+        out.append(TopicCandidate(frozenset(members)))
+    if not out:
+        raise InputError(f"{path}: no candidates")
+    return out
+
+
+tokens = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from(["+4", "007", "1_0", "x", "1.5", "\u0663"]),
+)
+candidate_lines = st.one_of(
+    st.lists(tokens, min_size=1, max_size=6).map(" ".join),
+    st.sampled_from(["", "   ", "# comment", "#1 2", "\t3  4\t"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(candidate_lines, max_size=8), st.sampled_from([None, 5, 13]))
+def test_load_candidates_matches_the_generator_loop(tmp_path_factory, lines, n):
+    path = tmp_path_factory.mktemp("cands") / "c.txt"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        expected = reference_load_candidates(path, n=n)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            load_candidates(path, n=n)
+        assert str(got.value) == str(exc)
+        return
+    assert load_candidates(path, n=n) == expected
 
 
 def test_save_load_round_trip(tmp_path):

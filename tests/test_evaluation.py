@@ -12,8 +12,13 @@ from conftest import loglog_fit
 from hotmine.candidates import TopicCandidate
 from hotmine.errors import InputError
 from hotmine.evaluation import (
+    NIR_SUCCESS_THRESHOLD,
     TOP_K,
     GroundTruth,
+    _as_set,
+    _f1,
+    _match,
+    _nir,
     accuracy_vs_fppt,
     evaluate,
     f1,
@@ -77,6 +82,17 @@ def test_f1_and_nir_reject_empty_sets():
 def test_nir_rejects_empty_first_set():
     with pytest.raises(InputError, match="nonempty"):
         nir(set(), {1})
+
+
+def test_non_integer_members_are_rejected_not_truncated():
+    with pytest.raises(InputError, match="integer"):
+        f1({1.5}, {1})
+    with pytest.raises(InputError, match="integer"):
+        nir({1}, TopicCandidate({1}).members | {2.0})
+    with pytest.raises(InputError, match="integer"):
+        evaluate([frozenset({0, 1.5})], GroundTruth((frozenset({0, 1}),), n=4))
+    members = _as_set([np.int64(3), np.int32(1)])
+    assert members == {1, 3} and {type(m) for m in members} == {int}
 
 
 def test_nir_values():
@@ -424,6 +440,56 @@ def test_curves_match_the_reference_walk(case):
     assert_same_curve(report.accuracy_fppt_curve, tuple(want_acc))
 
 
+def reference_match(ranked_detections, truth, score, threshold):
+    """The matching walk before it scored pairs from intersection sizes:
+    every detection made a set again, and f1 or nir made both sides sets
+    again for each (detection, truth topic) pair."""
+    detections = [_as_set(d) for d in ranked_detections]
+    if not detections:
+        raise InputError("no detections to evaluate")
+    used = set()
+    matches = []
+    for det in detections:
+        best, best_gi = 0.0, None
+        for gi, topic in enumerate(truth.topics):
+            if gi in used:
+                continue
+            s = score(det, topic)
+            if s > best:
+                best, best_gi = s, gi
+        if best > threshold:
+            used.add(best_gi)
+        matches.append((best, best > threshold))
+    return matches
+
+
+# the empty set makes detections that f1 and nir reject while a truth topic
+# is still free, and that no walk scores once every topic is consumed
+maybe_empty_sets = st.one_of(small_sets, st.just(frozenset()))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    truth=st.lists(small_sets, min_size=1, max_size=5).map(lambda t: GroundTruth(tuple(t), n=12)),
+    detections=st.lists(maybe_empty_sets, max_size=20),
+)
+@example(truth=GroundTruth((frozenset({0}),), n=12), detections=[frozenset({0}), frozenset()])
+@example(truth=GroundTruth((frozenset({0}),), n=12), detections=[frozenset(), frozenset({0})])
+def test_match_scores_as_the_per_pair_walk(truth, detections):
+    for public, score, threshold in ((f1, _f1, 0.0), (nir, _nir, NIR_SUCCESS_THRESHOLD)):
+        try:
+            expected = reference_match(detections, truth, public, threshold)
+        except InputError as exc:
+            with pytest.raises(InputError) as got:
+                _match(detections, truth, score, threshold)
+            assert str(got.value) == str(exc)
+            continue
+        got = _match(detections, truth, score, threshold)
+        assert got == expected
+        assert repr(got) == repr(expected)
+
+
+@pytest.mark.timing
 def test_evaluate_time_scales_linearly_in_detections():
     rng = np.random.default_rng(13)
     truth = GroundTruth(blocks(8, size=8), n=100_000)

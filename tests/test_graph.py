@@ -729,6 +729,7 @@ def _ring_similarity(rng, n: int, per_row: int) -> SimilarityMatrix:
     return SimilarityMatrix._trusted(n, full.indptr, full.indices, full.data)
 
 
+@pytest.mark.timing
 def test_graph_stage_scales_linearly_in_nonzeros(tmp_path):
     """Load, kernel, kNN and mix from triplet files: time and memory grow
     with nnz, not n^2 (one dense 20000 x 20000 matrix is 3.2 GB)."""

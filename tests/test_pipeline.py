@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hotmine.candidates import TopicCandidate
+from hotmine.candidates import TopicCandidate, save_candidates
 from hotmine.cli import main
 from hotmine.errors import InputError
 from hotmine.graph import save_similarity
@@ -293,6 +293,15 @@ PINNED_SIMILARITY = {
     "vis": "e210d550d66086620489053103183d487a3b8410b7ed45e6e228743fc8f7d282",
     "txt": "2a06455d096319e92f2d52d21c876f52be1a7d01172845e8ca71ace61419b7c9",
 }
+# sha256 of the four files `hotmine run` writes for many_small_topics_case;
+# recorded before refine, evaluation and provenance paid their per-topic
+# costs once; same platform as above.
+PINNED_MANY_SMALL_TOPICS = {
+    "_topics.txt": "336f9b380c08d21e3134c76c05b42ac7fc2db7340c2f87a18694dc97d22cf734",
+    "_provenance.json": "854c3c61e42cc62ea8b29e144fb84ff2b6294120c1ecf24365f0a2e4183cf3de",
+    "_top10_f1.csv": "8fd295f4eefdc9f05703825be054d9bd7dc96b9490de5c123347d8eb570a49e9",
+    "_accuracy.csv": "eaded2d4fe1e596adb8125abbd4ae86619959fa09b2cb33700365bef990f8337",
+}
 
 
 def sha256(path):
@@ -328,6 +337,45 @@ def test_cascade_candidate_bytes_are_pinned(corpus, tmp_path, ladder):
     ladder_flags = [] if ladder == "default" else ["--cascade-thresholds", ladder]
     assert main(["candidates", "--graph", str(graph), "--out", str(out), *ladder_flags]) == 0
     assert sha256(out) == PINNED_CANDIDATES[ladder]
+
+
+def many_small_topics_case(out):
+    """A toy noise flood: two shattered planted topics in 200 pages, and 100
+    extra fragments of 3 to 8 noise pages each, which mostly survive
+    bundling as topics of their own. Writes the four input files."""
+    scenario = SyntheticScenario(
+        n_webpages=200, topic_sizes=(20, 20), fragments_per_topic=3, fragment_drop=4,
+        fragment_noise=6, noise_cluster_size=12, noise_cluster_count=4,
+    )
+    data = generate_synthetic(scenario, seed=3)
+    rng = np.random.default_rng([3, 1])
+    pool = np.arange(scenario.planted_total, scenario.n_webpages)
+    extra = [
+        TopicCandidate(frozenset(rng.choice(pool, size=int(size), replace=False).tolist()))
+        for size in rng.integers(3, 9, size=100)
+    ]
+    out.mkdir()
+    save_similarity(data.w_vis, out / "vis.sim")
+    save_similarity(data.w_txt, out / "txt.sim")
+    save_candidates(list(data.candidates) + extra, out / "candidates.txt")
+    save_candidates(data.truth.topics, out / "truth.txt")
+    return out
+
+
+def test_many_small_topics_run_is_pinned(tmp_path, capsys):
+    inputs = many_small_topics_case(tmp_path / "inputs")
+    prefix = tmp_path / "run"
+    assert main([
+        "run", "--vis", str(inputs / "vis.sim"), "--txt", str(inputs / "txt.sim"),
+        "--candidates", str(inputs / "candidates.txt"), "--truth", str(inputs / "truth.txt"),
+        "--out-prefix", str(prefix), "--tau", "0.2", "--no-apply-kernel",
+    ]) == 0
+    # most detections are small refined topics, in stacks of six sizes
+    detections = json.loads((tmp_path / "run_provenance.json").read_text())["detections"]
+    small = [d for d in detections if 3 <= len(d["coarse_members"]) <= 8 and not d["bypassed"]]
+    assert len(small) > len(detections) / 2
+    for suffix, digest in PINNED_MANY_SMALL_TOPICS.items():
+        assert sha256(tmp_path / f"run{suffix}") == digest, suffix
 
 
 def test_synthetic_similarity_bytes_are_pinned(tmp_path):

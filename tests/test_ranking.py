@@ -5,10 +5,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_from_dense
+from hotmine import ranking
 from hotmine.candidates import TopicCandidate
 from hotmine.errors import ConvergenceError, InputError
 from hotmine.ranking import (
@@ -306,6 +307,101 @@ def test_coverage_matches_scipy_build(instance, data):
     ratio = np.array(data.draw(st.lists(VECTOR_ENTRIES, min_size=len(a), max_size=len(a))))
     assert np.array_equal(cov.mean(mu), membership @ mu)
     assert np.array_equal(cov.numerator(ratio), membership.T @ ratio)
+
+
+def reference_coverage_arrays(g, candidates):
+    """Every array of the coverage build as it stood with one key loop per
+    candidate (each candidate's members, its triu_indices keys and its
+    pages' holders in one pass), before the keys came one block per size."""
+    if not candidates:
+        raise InputError("no candidates to weight")
+    n = g.n
+    sizes = np.asarray([cand.size for cand in candidates], dtype=np.int64)
+    n_pairs = sizes * (sizes - 1) // 2
+    ends = np.cumsum(n_pairs)
+    keys = np.empty(int(ends[-1]), dtype=np.int64)
+    triu = {}
+    holders = {}
+    for k, (cand, end) in enumerate(zip(candidates, ends.tolist())):
+        members = np.asarray(cand.sorted_members(), dtype=np.int64)
+        if members[-1] >= n:
+            raise InputError(f"candidate member {members[-1]} outside graph (n={n})")
+        if len(members) not in triu:
+            triu[len(members)] = np.triu_indices(len(members), 1)
+        iu, ju = triu[len(members)]
+        keys[end - len(iu) : end] = members[iu] * n + members[ju]
+        for page in cand.members:
+            holders.setdefault(page, []).append(k)
+    if not len(keys):
+        raise InputError("no candidate covers any edge of the graph")
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    head = np.concatenate(([True], keys[1:] != keys[:-1]))
+    pairs, starts = keys[head], np.flatnonzero(head)
+    graph_keys = g.keys()
+    at = np.minimum(np.searchsorted(pairs, graph_keys), len(pairs) - 1)
+    hit = pairs[at] == graph_keys
+    a = np.zeros(len(pairs))
+    a[at[hit]] = g.data[hit]
+    first, in_first_order = np.zeros(len(order), dtype=bool), np.zeros(len(order))
+    first[order[starts]], in_first_order[order[starts]] = True, a
+    out = {"mu0": float(in_first_order[first].sum()) / float(ends[-1])}
+    edge = a > 0.0
+    if not edge.any():
+        raise InputError("no candidate covers any edge of the graph")
+    run_lengths = np.diff(starts, append=len(order))
+    out["rows"] = np.repeat(np.arange(int(edge.sum())), run_lengths[edge])
+    out["owner"] = np.searchsorted(ends, order[np.repeat(edge, run_lengths)], side="right")
+    classes = {}
+    page_class = np.zeros(n, dtype=np.int64)
+    page_class[list(holders)] = [classes.setdefault(tuple(h), len(classes)) for h in holders.values()]
+    edges = pairs[edge]
+    class_pair = page_class[edges // n] * len(classes) + page_class[edges % n]
+    _, firsts, out["edge_class"] = np.unique(class_pair, return_index=True, return_inverse=True)
+    representative = np.isin(out["rows"], firsts)
+    out["class_rows"] = out["edge_class"][out["rows"][representative]]
+    out["class_owner"] = out["owner"][representative]
+    out["a"] = a[edge]
+    out["pair_counts"] = n_pairs.astype(float)
+    return out
+
+
+@st.composite
+def block_instances(draw):
+    """Graphs of up to 40 pages whose candidates mix many sizes, so that
+    small key blocks hold several candidates of one size, or one."""
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = np.triu(rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(0.0, 1.0, (n, n)) < 0.3), 1)
+    reach = n + draw(st.sampled_from([0, 0, 0, 1, 3]))  # outside members differ
+    member_sets = st.sets(st.integers(0, reach - 1), min_size=1, max_size=min(reach, 12))
+    sets = draw(st.lists(member_sets, min_size=1, max_size=30))
+    return graph_from_dense(vals + vals.T), [TopicCandidate(s) for s in sets]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(fit_instances(), block_instances()), st.sampled_from([1, 3, 40, ranking.KEY_BLOCK]))
+# the message names the first candidate reaching outside, by its largest member
+@example((pair_graph(4, {(0, 1): 0.5}), [TopicCandidate(s) for s in ({0, 1}, {2, 9}, {0, 6})]), 3)
+def test_coverage_arrays_match_the_per_candidate_key_loop(instance, key_block):
+    g, cands = instance
+    default, ranking.KEY_BLOCK = ranking.KEY_BLOCK, key_block
+    try:
+        try:
+            expected = reference_coverage_arrays(g, cands)
+        except InputError as exc:
+            with pytest.raises(InputError) as got:
+                _Coverage(g, cands)
+            assert str(got.value) == str(exc)
+            return
+        cov = vars(_Coverage(g, cands))
+    finally:
+        ranking.KEY_BLOCK = default
+    assert sorted(cov) == sorted(expected)
+    assert repr(cov.pop("mu0")) == repr(expected.pop("mu0"))  # the same bits
+    for name, array in expected.items():
+        assert cov[name].dtype == array.dtype, name
+        assert np.array_equal(cov[name], array), name
 
 
 # --------------------------------------------------------------- ranking

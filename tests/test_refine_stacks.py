@@ -15,7 +15,7 @@ from conftest import graph_from_dense
 from hotmine import pipeline
 from hotmine.bundling import CoarseTopic
 from hotmine.candidates import TopicCandidate
-from hotmine.errors import ConvergenceError
+from hotmine.errors import ConvergenceError, InputError
 from hotmine.interestingness import (
     TopicGraph,
     pagerank_stack,
@@ -215,6 +215,77 @@ def test_stacked_refine_matches_per_topic_reference(case, max_iter, margin, lam)
             assert np.array_equal(gains[t], ref_gains)
             assert np.array_equal(deltas[t, : lengths[t]], ref_deltas)
             assert cuts[t] == reference_cut_point(ref_deltas, config.margin)
+
+
+# ------------------------------------------------------------ similarity stack
+
+
+def reference_similarity_stack(topics, candidates):
+    """similarity_stack before it ran as one pass per stack: per topic, a
+    dict of member positions and one block add per source."""
+    if len({len(topic.members) for topic in topics}) != 1:
+        raise InputError("a similarity stack needs topics of one size")
+    nodes = np.array([sorted(topic.members) for topic in topics], dtype=np.int64)
+    count, m = nodes.shape
+    weights = np.zeros((count, m, m))
+    for block, topic, row in zip(weights.reshape(count, m * m), topics, nodes.tolist()):
+        pos = {node: i for i, node in enumerate(row)}
+        for k in topic.sources:
+            if k < 0 or k >= len(candidates):
+                raise InputError(f"source index {k} outside candidate list")
+            cand = candidates[k]
+            if cand.weight is None:
+                raise InputError(f"candidate {k} has no weight; rank before refining")
+            idx = np.asarray([pos[u] for u in cand.members if u in pos])
+            if idx.size >= 2:
+                block[idx[:, None] * m + idx] += cand.weight
+    weights.reshape(count, m * m)[:, :: m + 1] = 0.0
+    return nodes, weights
+
+
+@st.composite
+def similarity_stacks(draw):
+    """Topics of one size, each listing its own fragments and a few others
+    in any order, repeats among them, so that up to seven weights add up on
+    one pair; the fragments reach outside their topic, and now and then a
+    source lies outside the list or has no weight."""
+    m = draw(st.sampled_from([1, 2, 3, 5, 8]))
+    topics, candidates, own = [], [], []
+    for _ in range(draw(st.integers(1, 6))):
+        members = draw(st.lists(st.integers(0, 19), min_size=m, max_size=m, unique=True))
+        topics.append(members)
+        own.append(list(range(len(candidates), len(candidates) + draw(st.integers(1, 5)))))
+        for _ in own[-1]:
+            part = draw(st.lists(st.sampled_from(members), min_size=1, unique=True))
+            outside = draw(st.lists(st.integers(0, 23), max_size=3))
+            candidates.append(TopicCandidate(frozenset(part + outside), draw(WEIGHTS)))
+    if draw(st.integers(0, 9)) == 0:
+        candidates[-1].weight = None
+    source = st.integers(0, len(candidates) - 1)
+    if draw(st.integers(0, 9)) == 0:
+        source = source | st.sampled_from([-1, len(candidates)])
+    coarse = [
+        CoarseTopic(frozenset(members), tuple(draw(st.permutations(ks + draw(st.lists(source, max_size=2))))))
+        for members, ks in zip(topics, own)
+    ]
+    return coarse, candidates
+
+
+@settings(max_examples=300, deadline=None)
+@given(similarity_stacks())
+def test_similarity_stack_matches_per_topic_block_adds(case):
+    topics, candidates = case
+    try:
+        expected_nodes, expected = reference_similarity_stack(topics, candidates)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            similarity_stack(topics, candidates)
+        assert str(got.value) == str(exc)
+        return
+    nodes, weights = similarity_stack(topics, candidates)
+    assert np.array_equal(nodes, expected_nodes)
+    assert weights.shape == expected.shape
+    assert weights.tobytes() == expected.tobytes()
 
 
 # ------------------------------------------------------------ chunking

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hotmine import synth
 from hotmine.errors import InputError
+from hotmine.graph import SimilarityMatrix
 from hotmine.synth import SyntheticScenario, generate_synthetic
 
 
@@ -169,3 +173,42 @@ def test_same_seed_reproduces_different_seed_varies():
     assert not np.array_equal(a.w_vis.values, c.w_vis.values)
     # candidate structure is seed-independent; only the matrices vary
     assert a.candidates == c.candidates
+
+
+def reference_similarity(rng, scenario, topics):
+    """synth's matrix before it clipped in place and mirrored by bands: the
+    noise, its clipped strict upper triangle v, and v + v.T, all n x n."""
+    n = scenario.n_webpages
+    raw = scenario.noise_similarity + scenario.jitter * rng.standard_normal((n, n))
+    for pages in topics:
+        block = np.ix_(pages, pages)
+        raw[block] = scenario.intra_similarity + scenario.jitter * rng.standard_normal(
+            (len(pages), len(pages))
+        )
+    v = np.triu(np.clip(raw, 0.0, 1.0), 1)
+    return SimilarityMatrix(v + v.T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    jitter=st.sampled_from([0.0, 0.02, 0.5, 3.0]),
+    band=st.sampled_from([1, 3, 7, 512]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_similarity_matches_the_dense_construction(n, jitter, band, seed, data):
+    # jitter 3.0 clips many entries to 0 and 1
+    sizes = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=3).filter(lambda s: sum(s) <= n))
+    scenario = SyntheticScenario(n_webpages=n, topic_sizes=tuple(sizes), jitter=jitter)
+    offsets = np.cumsum((0,) + scenario.topic_sizes)
+    topics = [list(range(lo, hi)) for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
+    expected = reference_similarity(np.random.default_rng(seed), scenario, topics)
+    default, synth._BAND = synth._BAND, band
+    try:
+        got = synth._similarity(np.random.default_rng(seed), scenario, topics)
+    finally:
+        synth._BAND = default
+    for name in ("n", "indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+        assert np.asarray(getattr(got, name)).dtype == np.asarray(getattr(expected, name)).dtype
