@@ -34,7 +34,7 @@ from . import __version__
 from .candidates import cascade_candidates, load_candidates, save_candidates
 from .errors import ConvergenceError, InputError
 from .evaluation import EvaluationReport, evaluate, load_ground_truth, write_curves
-from .graph import load_graph, load_similarity, save_similarity
+from .graph import load_graph, load_similarity_pair, save_similarity
 from .oracle import check_monotonicity, check_submodularity, sample_instance
 from .pipeline import (
     STAGES,
@@ -225,9 +225,7 @@ def _cmd_synth(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace, config: PipelineConfig) -> int:
-    graph = build_mixed_graph(
-        config, load_similarity(args.vis), load_similarity(args.txt)
-    )
+    graph = build_mixed_graph(config, *load_similarity_pair(args.vis, args.txt))
     save_similarity(graph, args.out)
     print(f"{args.out}: {graph.n} nodes, {graph.edge_count} edges")
     return 0
@@ -298,12 +296,7 @@ def _cmd_refine(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def _cmd_run(args: argparse.Namespace, config: PipelineConfig) -> int:
-    w_vis = load_similarity(args.vis)
-    w_txt = load_similarity(args.txt)
-    if w_vis.n != w_txt.n:
-        raise InputError(
-            f"similarity matrices disagree on size: {w_vis.n} vs {w_txt.n}"
-        )
+    w_vis, w_txt = load_similarity_pair(args.vis, args.txt)
     cands = load_candidates(args.candidates, n=w_vis.n)
     return _run_and_write(args, config, build_mixed_graph(config, w_vis, w_txt), cands)
 

@@ -20,7 +20,7 @@ import os
 import stat
 import warnings
 from pathlib import Path
-from typing import Any, Callable, NoReturn, TextIO
+from typing import Any, BinaryIO, Callable, NoReturn, TextIO
 
 import numpy as np
 
@@ -364,6 +364,92 @@ def _raise_first_bad_line(fh: TextIO, path: Path, n: int, nnz: int) -> NoReturn:
     if len(pairs) != nnz:
         raise InputError(f"{path}: header promised {nnz} entries, found {len(pairs)}")
     raise InputError(f"{path}: malformed triplet body")
+
+
+def load_similarity_pair(vis: str | Path, txt: str | Path) -> tuple[SimilarityMatrix, SimilarityMatrix]:
+    """load_similarity of both files, which must agree on n.
+
+    The parses hold the GIL, so a forked child parses txt while this process
+    parses vis; the child runs no BLAS. Errors come in the serial order:
+    vis's, then txt's, then the size check. Without os.fork, the files are
+    parsed one after the other.
+    """
+    if hasattr(os, "fork"):
+        w_vis, w_txt = _load_beside(vis, txt)
+    else:
+        w_vis, w_txt = load_similarity(vis), load_similarity(txt)
+    if w_vis.n != w_txt.n:
+        raise InputError(f"similarity matrices disagree on size: {w_vis.n} vs {w_txt.n}")
+    return w_vis, w_txt
+
+
+def _load_beside(vis: str | Path, txt: str | Path) -> tuple[SimilarityMatrix, SimilarityMatrix]:
+    """load_similarity(vis) here and load_similarity(txt) in a forked child,
+    which is always reaped, and killed first if this process raises."""
+    import signal
+
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            _send_similarity(write_end, txt)
+            code = 0
+        finally:
+            os._exit(code)  # never return into the caller's stack
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as feed:
+            w_vis = load_similarity(vis)
+            w_txt = _receive_similarity(feed)
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if isinstance(w_txt, BaseException):
+        raise w_txt
+    if w_txt is None:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        raise InputError(f"{txt}: the process parsing it ended without a result ({how})")
+    return w_vis, w_txt
+
+
+def _send_similarity(fd: int, path: str | Path) -> None:
+    """Write to fd a pickled header, (n, [(dtype, length)] of the CSR arrays)
+    or the exception load_similarity(path) raised, then the arrays' raw bytes."""
+    import pickle
+
+    try:
+        m = load_similarity(path)
+        arrays = (m.indptr, m.indices, m.data)
+        head: Any = (m.n, [(a.dtype, len(a)) for a in arrays])
+    except BaseException as exc:  # raised again by the reader
+        arrays, head = (), exc
+    with open(fd, "wb") as out:
+        pickle.dump(head, out)
+        for a in arrays:
+            out.write(a)
+
+
+def _receive_similarity(feed: BinaryIO) -> SimilarityMatrix | BaseException | None:
+    """What _send_similarity wrote to feed, the arrays read straight into
+    their own buffers; None if the stream ends early."""
+    import pickle
+
+    try:
+        head = pickle.load(feed)
+    except (EOFError, pickle.UnpicklingError):
+        return None
+    if isinstance(head, BaseException):
+        return head
+    n, layout = head
+    arrays = [np.empty(length, dtype) for dtype, length in layout]
+    if any(feed.readinto(a) != a.nbytes for a in arrays):
+        return None
+    return SimilarityMatrix._trusted(n, *arrays)
 
 
 def load_graph(path: str | Path) -> SimilarityGraph:

@@ -1,9 +1,11 @@
 """Command-line interface: stage chain, config plumbing, exit codes."""
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,10 @@ import pytest
 
 import hotmine
 from conftest import fed_fifo
+from hotmine import cli, graph
 from hotmine.cli import _parse, main
+from hotmine.errors import InputError
+from hotmine.graph import load_similarity
 from hotmine.pipeline import PipelineConfig
 
 COMMON = ["--no-apply-kernel", "--knn-txt", "20", "--knn-vis", "8", "--tau", "0.2"]
@@ -441,6 +446,96 @@ def test_bad_body_from_a_pipe_exits_one(corpus, tmp_path, capsys):
     assert not (tmp_path / "g.graph").exists()
 
 
+# The txt file is parsed in a forked child while run or graph parses vis.
+BAD_BODY = "3 2\n0 1 0.5\n0 1 0.5\n"
+
+
+def serial_error(path) -> str:
+    """The error line for path's own load_similarity error."""
+    with pytest.raises((InputError, OSError)) as caught:
+        load_similarity(path)
+    return f"error: {caught.value}"
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("case", ["bad-file", "bad-fifo", "missing", "both-bad"])
+def test_similarity_errors_keep_the_serial_line_and_reap_the_child(corpus, tmp_path, capsys, case):
+    vis, txt = tmp_path / "vis.sim", tmp_path / "txt.sim"
+    args = run_args(corpus, tmp_path)
+    args[args.index("--txt") + 1] = str(txt)
+    with contextlib.ExitStack() as stack:
+        if case == "bad-fifo":
+            stack.enter_context(fed_fifo(txt, BAD_BODY))
+            expected = f"error: {txt}: malformed triplet body; the input cannot be read again to locate the bad line"
+        else:
+            if case != "missing":
+                txt.write_text(BAD_BODY)
+            expected = serial_error(txt)
+        if case == "both-bad":  # vis is parsed first in the serial order
+            vis.write_text("3 1\n0 1 1.5\n")
+            args[args.index("--vis") + 1] = str(vis)
+            expected = serial_error(vis)
+        assert main(args) == 1
+    assert capsys.readouterr().err.splitlines() == [expected]
+    assert not (tmp_path / "out_topics.txt").exists()
+    assert_no_child_left()
+
+
+def test_a_txt_child_that_dies_exits_one_and_is_reaped(corpus, tmp_path, capsys, monkeypatch):
+    txt, parent = str(corpus / "txt.sim"), os.getpid()
+    load = graph.load_similarity
+
+    def die_on_txt(path):
+        if str(path) == txt and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return load(path)
+
+    monkeypatch.setattr(graph, "load_similarity", die_on_txt)
+    assert main(run_args(corpus, tmp_path)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {txt}: the process parsing it ended without a result (killed by signal 9)"]
+    assert_no_child_left()
+
+
+def test_a_txt_child_out_of_address_space_exits_one_with_the_serial_line(corpus, tmp_path):
+    # The address space is capped at 2 GiB, so the 16 GiB count array fails
+    # at once in the child. Never run this without the cap.
+    wide = tmp_path / "wide.sim"
+    wide.write_text(f"{2**31 - 1} 1\n0 1 0.5\n")
+    argv = run_args(corpus, tmp_path)
+    argv[argv.index("--txt") + 1] = str(wide)
+    code = (
+        "import os, resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)); "
+        f"from hotmine.cli import main; rc = main({argv!r})\n"
+        "try:\n    os.waitpid(-1, os.WNOHANG)\nexcept ChildProcessError:\n    sys.exit(rc)\nsys.exit(99)"
+    )
+    out = child_run(code, check=False)
+    assert out.returncode == 1, out.stderr
+    assert out.stderr.splitlines() == [f"error: {wide}: the matrix does not fit in memory"]
+
+
+@pytest.mark.parametrize("command", ["run", "graph"])
+def test_similarity_sizes_disagree_before_any_graph_work(corpus, tmp_path, capsys, monkeypatch, command):
+    def no_graph_work(*args, **kwargs):
+        raise AssertionError("built a graph from matrices of different sizes")
+
+    monkeypatch.setattr(cli, "build_mixed_graph", no_graph_work)
+    small = tmp_path / "small.sim"
+    small.write_text("3 1\n0 1 0.5\n")
+    args = run_args(corpus, tmp_path)
+    if command == "graph":
+        args = ["graph", *args[1:5], "--out", str(tmp_path / "g.graph"), *COMMON]
+    args[args.index("--txt") + 1] = str(small)
+    assert main(args) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: similarity matrices disagree on size: 60 vs 3"]
+    assert not (tmp_path / "g.graph").exists() and not (tmp_path / "out_topics.txt").exists()
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("flag", ["--vis", "--candidates", "--config"])
 def test_non_utf8_input_exits_one(corpus, tmp_path, capsys, flag):
     args = run_args(corpus, tmp_path)
@@ -470,11 +565,11 @@ def test_version_flag():
 LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
-def child_run(code, check=True):
+def child_run(code, check=True, **env):
     src = str(Path(hotmine.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": src, **env}
     return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=check
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=check, timeout=300
     )
 
 
@@ -523,6 +618,19 @@ def test_run_path_imports_no_scipy(corpus, tmp_path, kernel):
     )
     assert child_output(code)[-3:] == ["0", "[]", "False"]
     assert (tmp_path / "out_topics.txt").is_file()
+
+
+def test_run_forks_safely_under_any_blas_thread_count(corpus, tmp_path):
+    # the txt child is forked after OpenBLAS has started its threads
+    provenance = []
+    for threads in ("1", "2"):
+        args = run_args(corpus, tmp_path)
+        args[args.index("--out-prefix") + 1] = str(tmp_path / f"blas{threads}")
+        code = f"import sys; from hotmine.cli import main; sys.exit(main({args!r}))"
+        out = child_run(code, check=False, OPENBLAS_NUM_THREADS=threads)
+        assert out.returncode == 0, out.stderr
+        provenance.append((tmp_path / f"blas{threads}_provenance.json").read_bytes())
+    assert provenance[0] == provenance[1]
 
 
 @pytest.mark.parametrize("command", ["refine", "run", "eval"])

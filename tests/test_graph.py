@@ -25,6 +25,7 @@ from hotmine.graph import (
     knn_sparsify,
     load_graph,
     load_similarity,
+    load_similarity_pair,
     mix_graphs,
     save_similarity,
 )
@@ -400,11 +401,20 @@ ROUTES = ["file", "fifo", "gz"]
 
 @contextlib.contextmanager
 def triplet_source(tmp_path, route, text):
-    """text as a regular file, a FIFO fed by a thread, or a plain-text file
-    named *.gz."""
+    """text as a regular file, a FIFO fed by a thread, a plain-text file
+    named *.gz, or a filled pipe named /dev/fd/N, as `<(zcat m.sim.gz)`
+    passes it."""
     if route == "fifo":
         with fed_fifo(tmp_path / "m.sim", text) as path:
             yield path
+    elif route == "fd":
+        read_end, write_end = os.pipe()
+        os.write(write_end, text.encode())  # under 64 KiB, a pipe's buffer
+        os.close(write_end)
+        try:
+            yield Path(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
     else:
         path = tmp_path / ("m.sim.gz" if route == "gz" else "m.sim")
         path.write_text(text)
@@ -481,6 +491,56 @@ def test_bad_body_from_a_pipe_names_the_file(tmp_path):
         with pytest.raises(InputError) as caught:
             load_similarity(path)
     assert str(caught.value).startswith(f"{path}: ") and "cannot be read again to locate the bad line" in str(caught.value)
+
+
+# --------------------------------------------------------------- pair loader
+# load_similarity_pair parses txt in a forked child; the arrays it returns
+# must be those of two load_similarity calls, dtype and bits.
+
+
+@st.composite
+def valid_triplet_pairs(draw):
+    """Two valid bodies over the same n: distinct upper-triangle pairs in
+    drawn (so unsorted) order, values that include 0.0."""
+    n = draw(st.integers(2, 7))
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    texts = []
+    for _ in range(2):
+        pairs = draw(st.lists(st.sampled_from(upper), unique=True))
+        lines = [f"{i} {j} {draw(VALUES)}" for i, j in pairs]
+        texts.append("\n".join([f"{n} {len(pairs)}", *lines]) + "\n")
+    return tuple(texts)
+
+
+def assert_same_matrix(got, want):
+    assert got.n == want.n
+    for a, b in zip(csr_arrays(got), csr_arrays(want)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@given(texts=valid_triplet_pairs(), route=st.sampled_from(["file", "fifo", "fd"]))
+@example(texts=("3 0\n", "3 0\n"), route="fifo")
+@example(texts=("3 1\n0 2 0.5\n", "3 2\n1 2 0.5\n0 1 0.0\n"), route="fd")
+@example(texts=("4 2\n2 3 0.25\n0 1 1.0\n", "4 3\n2 3 0.0\n0 3 0.5\n0 1 0.125\n"), route="file")
+@settings(max_examples=150, deadline=None)
+def test_pair_loader_matches_two_serial_loads(tmp_path_factory, texts, route):
+    directory = tmp_path_factory.mktemp("pair")
+    vis, txt = directory / "vis.sim", directory / "txt.sim"
+    vis.write_text(texts[0])
+    txt.write_text(texts[1])
+    with triplet_source(directory, route, texts[1]) as source:
+        got = load_similarity_pair(vis, source)
+    for loaded, path in zip(got, (vis, txt)):
+        assert_same_matrix(loaded, load_similarity(path))
+    with pytest.raises(ChildProcessError):  # the child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_pair_loader_without_fork_loads_one_after_the_other(corpus, monkeypatch):
+    paths = corpus / "vis.sim", corpus / "txt.sim"
+    monkeypatch.delattr(os, "fork")
+    for got, path in zip(load_similarity_pair(*paths), paths):
+        assert_same_matrix(got, load_similarity(path))
 
 
 def test_matrix_is_canonical_csr():
