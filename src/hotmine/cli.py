@@ -296,9 +296,8 @@ def _cmd_refine(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def _cmd_run(args: argparse.Namespace, config: PipelineConfig) -> int:
-    w_vis, w_txt = load_similarity_pair(args.vis, args.txt)
-    cands = load_candidates(args.candidates, n=w_vis.n)
-    return _run_and_write(args, config, build_mixed_graph(config, w_vis, w_txt), cands)
+    graph = build_mixed_graph(config, *load_similarity_pair(args.vis, args.txt))
+    return _run_and_write(args, config, graph, load_candidates(args.candidates, n=graph.n))
 
 
 def _cmd_eval(args: argparse.Namespace, config: PipelineConfig) -> int:

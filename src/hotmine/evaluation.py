@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import neg
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .candidates import index_set, load_candidates
 from .errors import InputError
@@ -125,16 +125,10 @@ def _match(
     return matches
 
 
-def top10_f1_vs_ndt(
-    ranked_detections: Sequence, truth: GroundTruth, max_ndt: int
-) -> list[tuple[int, float]]:
-    """Curve of mean top-10 F1 for each detection-count cutoff 1..max_ndt."""
-    return _top10_f1_vs_ndt(list(map(_as_set, ranked_detections)), truth, max_ndt)
-
-
 def _top10_f1_vs_ndt(
     detections: list[frozenset[int]], truth: GroundTruth, max_ndt: int
 ) -> list[tuple[int, float]]:
+    """Curve of mean top-10 F1 for each detection-count cutoff 1..max_ndt."""
     if max_ndt < 1:
         raise InputError("max_ndt must be >= 1")
     scores = [s for s, _ in _match(detections, truth, _f1, 0.0)]
@@ -150,10 +144,8 @@ def _top10_f1_vs_ndt(
     return curve
 
 
-def accuracy_vs_fppt(
-    ranked_detections: Sequence,
-    truth: GroundTruth,
-    max_fppt: int | None = None,
+def _accuracy_vs_fppt(
+    detections: list[frozenset[int]], truth: GroundTruth, max_fppt: int | None
 ) -> list[tuple[int, float]]:
     """Accuracy at integer FPPT budgets, best achievable within each budget.
 
@@ -161,12 +153,6 @@ def accuracy_vs_fppt(
     still unmatched truth topic exceeds 0.5 strictly; anything else is a
     false positive. Failed detections consume no truth topic.
     """
-    return _accuracy_vs_fppt(list(map(_as_set, ranked_detections)), truth, max_fppt)
-
-
-def _accuracy_vs_fppt(
-    detections: list[frozenset[int]], truth: GroundTruth, max_fppt: int | None
-) -> list[tuple[int, float]]:
     matches = _match(detections, truth, _nir, NIR_SUCCESS_THRESHOLD)
     # a point at FPPT x fits an integer budget b exactly when ceil(x) <= b:
     # keep the best accuracy per ceil(x), then take a running max over b
@@ -201,17 +187,12 @@ def load_ground_truth(path: str | Path, n: int) -> GroundTruth:
     return GroundTruth(tuple(t.members for t in topics), n=n)
 
 
-def write_curve_csv(curve: Iterable[tuple[float, float]], path: str | Path) -> None:
-    lines = ["x,y"]
-    lines.extend(f"{x!r},{y!r}" for x, y in curve)
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def write_curves(report: EvaluationReport, stem: str | Path) -> list[Path]:
-    """Write both curves as `<stem>_top10_f1.csv` and `<stem>_accuracy.csv`."""
+    """Write both curves as `<stem>_top10_f1.csv` and `<stem>_accuracy.csv`:
+    an `x,y` header, then one `repr(x),repr(y)` line per point."""
     stem = Path(stem)
-    f1_path = stem.with_name(stem.name + "_top10_f1.csv")
-    acc_path = stem.with_name(stem.name + "_accuracy.csv")
-    write_curve_csv(report.top10_f1_curve, f1_path)
-    write_curve_csv(report.accuracy_fppt_curve, acc_path)
-    return [f1_path, acc_path]
+    curves = {"_top10_f1.csv": report.top10_f1_curve, "_accuracy.csv": report.accuracy_fppt_curve}
+    paths = [stem.with_name(stem.name + suffix) for suffix in curves]
+    for path, curve in zip(paths, curves.values()):
+        path.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in curve))
+    return paths

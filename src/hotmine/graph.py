@@ -367,20 +367,16 @@ def _raise_first_bad_line(fh: TextIO, path: Path, n: int, nnz: int) -> NoReturn:
 
 
 def load_similarity_pair(vis: str | Path, txt: str | Path) -> tuple[SimilarityMatrix, SimilarityMatrix]:
-    """load_similarity of both files, which must agree on n.
+    """load_similarity of both files.
 
     The parses hold the GIL, so a forked child parses txt while this process
     parses vis; the child runs no BLAS. Errors come in the serial order:
-    vis's, then txt's, then the size check. Without os.fork, the files are
-    parsed one after the other.
+    vis's, then txt's. Without os.fork, the files are parsed one after the
+    other.
     """
     if hasattr(os, "fork"):
-        w_vis, w_txt = _load_beside(vis, txt)
-    else:
-        w_vis, w_txt = load_similarity(vis), load_similarity(txt)
-    if w_vis.n != w_txt.n:
-        raise InputError(f"similarity matrices disagree on size: {w_vis.n} vs {w_txt.n}")
-    return w_vis, w_txt
+        return _load_beside(vis, txt)
+    return load_similarity(vis), load_similarity(txt)
 
 
 def _load_beside(vis: str | Path, txt: str | Path) -> tuple[SimilarityMatrix, SimilarityMatrix]:

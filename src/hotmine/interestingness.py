@@ -40,10 +40,6 @@ class TopicGraph:
     nodes: tuple[int, ...]
     weights: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return len(self.nodes)
-
 
 @dataclass(frozen=True)
 class InterestingnessVector:

@@ -15,8 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError
-from .interestingness import TopicGraph
-from .refining import dissimilarity, goodness, marginal_gain
+from .refining import dissimilarity_stack, goodness, marginal_gain
 
 BRUTE_FORCE_LIMIT = 20
 SLACK_TOL = -1e-12
@@ -87,7 +86,7 @@ def sample_instance(
     s = rng.uniform(0.0, 1.0, size=(n, n))
     s = (s + s.T) / 2.0
     np.fill_diagonal(s, 0.0)
-    d = dissimilarity(TopicGraph(tuple(range(n)), s))
+    d = dissimilarity_stack(s[None])[0]
     if normalize:
         d = d / d.sum()
     return pi, d

@@ -168,18 +168,18 @@ class PipelineResult:
 
 
 def build_mixed_graph(
-    config: PipelineConfig,
-    w_vis: SimilarityMatrix | np.ndarray,
-    w_txt: SimilarityMatrix | np.ndarray,
+    config: PipelineConfig, w_vis: SimilarityMatrix, w_txt: SimilarityMatrix
 ) -> SimilarityGraph:
     """Kernel (optional), per-modality kNN sparsify, then average.
 
-    The neighbor counts are clamped to n - 1 so small corpora work with
-    the large-corpus defaults.
+    Matrices of different sizes are refused before any graph work. The
+    neighbor counts are clamped to n - 1 so small corpora work with the
+    large-corpus defaults.
     """
+    if w_vis.n != w_txt.n:
+        raise InputError(f"similarity matrices disagree on size: {w_vis.n} vs {w_txt.n}")
     sides = []
-    for raw, k, kind in ((w_vis, config.knn_vis, "vis"), (w_txt, config.knn_txt, "txt")):
-        matrix = raw if isinstance(raw, SimilarityMatrix) else SimilarityMatrix(raw)
+    for matrix, k, kind in ((w_vis, config.knn_vis, "vis"), (w_txt, config.knn_txt, "txt")):
         if config.apply_kernel:
             matrix = gaussian_affinity(matrix, sigma2=config.sigma2_affinity)
         sides.append(knn_sparsify(matrix, min(k, matrix.n - 1), kind=kind))

@@ -225,19 +225,6 @@ def estimate_weights(
     return mu
 
 
-def poisson_log_likelihood(
-    g: SimilarityGraph, candidates: Sequence[TopicCandidate], mu: np.ndarray
-) -> float:
-    """Log-likelihood of weights mu over the covered pairs (additive
-    constants dropped)."""
-    mu = np.asarray(mu, dtype=float)
-    if len(mu) != len(candidates):
-        raise InputError("mu length does not match candidate count")
-    if np.any(mu < 0.0):
-        raise InputError("weights must be nonnegative")
-    return _Coverage(g, candidates).log_likelihood(mu)
-
-
 def apply_weights(
     candidates: Sequence[TopicCandidate], weights: np.ndarray
 ) -> None:

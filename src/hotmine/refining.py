@@ -25,7 +25,7 @@ up to and including that step form the refined topic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -195,15 +195,10 @@ def cut_stack(deltas: np.ndarray, lengths: np.ndarray, margin: float = DEFAULT_M
     return (arr >= arr.max(axis=-1, keepdims=True) - margin).argmax(axis=-1)
 
 
-def cut_point(deltas: Sequence[float], margin: float = DEFAULT_MARGIN) -> int:
-    """cut_stack of one gain-drop trace."""
-    arr = np.asarray(deltas, dtype=float)
-    return int(cut_stack(arr[None], np.array([len(arr)]), margin=margin)[0])
-
-
 def apply_cut(refined: RefinedTopic, margin: float = DEFAULT_MARGIN) -> RefinedTopic:
-    """Fill cut_index and members on a greedy trace, in place."""
-    t_hat = cut_point(refined.deltas, margin=margin)
-    refined.cut_index = t_hat
-    refined.members = frozenset(refined.selection_order[: t_hat + 1])
+    """Fill cut_index and members on a greedy trace, in place: cut_stack of
+    its one gain-drop trace."""
+    deltas = np.asarray(refined.deltas, dtype=float)
+    refined.cut_index = int(cut_stack(deltas[None], np.array([len(deltas)]), margin=margin)[0])
+    refined.members = frozenset(refined.selection_order[: refined.cut_index + 1])
     return refined

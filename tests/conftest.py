@@ -80,15 +80,21 @@ def best_times(calls, repeats: int = 3) -> list[float]:
     return times
 
 
-def loglog_fit(sizes, times) -> tuple[float, float]:
-    """Slope and R^2 of the least-squares line through (log size, log time).
+def loglog_fit(sizes, times) -> tuple[float, float, str]:
+    """Slope and R^2 of the least-squares line through (log size, log time),
+    and a line naming the sizes, times, slope and R^2 for an assertion
+    message.
 
-    The fit is printed, so `pytest -rP` shows it for passing runs too.
+    The line is printed too, so `pytest -rP` shows it for passing runs.
     """
     xs, ys = np.log(np.asarray(sizes, float)), np.log(np.asarray(times, float))
     slope, intercept = np.polyfit(xs, ys, 1)
     ss_res = float(np.sum((ys - (slope * xs + intercept)) ** 2))
     ss_tot = float(np.sum((ys - ys.mean()) ** 2))
     r_squared = 1.0 - ss_res / ss_tot
-    print(f"log-log fit: slope {slope:.3f}, R^2 {r_squared:.4f}, sizes {list(sizes)}")
-    return float(slope), r_squared
+    fit = (
+        f"log-log fit: sizes {list(sizes)}, times [{', '.join(f'{t:.4g}' for t in times)}], "
+        f"slope {slope:.3f}, R^2 {r_squared:.4f}"
+    )
+    print(fit)
+    return float(slope), r_squared, fit

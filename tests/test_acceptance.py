@@ -25,11 +25,7 @@ from hotmine.oracle import (
     sample_instance,
 )
 from hotmine.pipeline import PipelineConfig, build_mixed_graph, run_br
-from hotmine.ranking import (
-    RankedTopicList,
-    iterate_weights,
-    poisson_log_likelihood,
-)
+from hotmine.ranking import RankedTopicList, _Coverage, iterate_weights
 from hotmine.refining import goodness, greedy_select
 from hotmine.synth import SyntheticScenario, generate_synthetic
 
@@ -136,10 +132,11 @@ def test_a6_deconvolution_matches_grid_search_per_coordinate():
         graph = SimilarityGraph(vals, kind="mixed")
         cands = [TopicCandidate(c1), TopicCandidate(c2)]
 
+        cov = _Coverage(graph, cands)
         lls = []
         mu = None
         for mu in iterate_weights(graph, cands, max_iter=2000, tol=1e-10):
-            lls.append(poisson_log_likelihood(graph, cands, mu))
+            lls.append(cov.log_likelihood(mu))
         assert mu is not None
         assert all(b >= a - 1e-9 for a, b in zip(lls, lls[1:]))
 
@@ -219,8 +216,7 @@ def test_a8_bundling_time_scales_linearly_in_candidates():
         ranked = RankedTopicList(items=items, indices=list(range(count)))
         calls.append(partial(bundle, ranked, window=50, tau=0.4))
     times = best_times(calls)  # best of 3 per size, the sizes taking turns
-    slope, r_squared = loglog_fit(sizes, times)
-    fit = f"slope {slope:.3f}, R^2 {r_squared:.4f}, times {times}"
+    slope, r_squared, fit = loglog_fit(sizes, times)
     assert 0.75 <= slope <= 1.3, fit
     assert r_squared >= 0.95, fit
 

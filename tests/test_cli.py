@@ -14,7 +14,7 @@ import pytest
 
 import hotmine
 from conftest import fed_fifo
-from hotmine import cli, graph
+from hotmine import graph, pipeline
 from hotmine.cli import _parse, main
 from hotmine.errors import InputError
 from hotmine.graph import load_similarity
@@ -523,7 +523,8 @@ def test_similarity_sizes_disagree_before_any_graph_work(corpus, tmp_path, capsy
     def no_graph_work(*args, **kwargs):
         raise AssertionError("built a graph from matrices of different sizes")
 
-    monkeypatch.setattr(cli, "build_mixed_graph", no_graph_work)
+    monkeypatch.setattr(pipeline, "gaussian_affinity", no_graph_work)
+    monkeypatch.setattr(pipeline, "knn_sparsify", no_graph_work)
     small = tmp_path / "small.sim"
     small.write_text("3 1\n0 1 0.5\n")
     args = run_args(corpus, tmp_path)

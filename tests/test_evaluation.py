@@ -19,16 +19,25 @@ from hotmine.evaluation import (
     _f1,
     _match,
     _nir,
-    accuracy_vs_fppt,
+    EvaluationReport,
     evaluate,
     f1,
     load_ground_truth,
     nir,
-    top10_f1_vs_ndt,
-    write_curve_csv,
+    write_curves,
 )
 
 nonempty_sets = st.frozensets(st.integers(0, 20), min_size=1, max_size=8)
+
+
+def top10_f1_curve(detections, truth, max_ndt):
+    """The top-10 F1 curve that evaluate reports."""
+    return list(evaluate(detections, truth, max_ndt=max_ndt).top10_f1_curve)
+
+
+def accuracy_curve(detections, truth, max_fppt=None):
+    """The accuracy-FPPT curve that evaluate reports."""
+    return list(evaluate(detections, truth, max_fppt=max_fppt).accuracy_fppt_curve)
 
 
 def staircase_case():
@@ -123,8 +132,8 @@ def test_matching_protocol_is_rank_order_sensitive():
     truth = GroundTruth((frozenset({0, 1, 2}),), n=6)
     coarse_first = [frozenset(range(6)), frozenset({0, 1, 2})]
     exact_first = list(reversed(coarse_first))
-    curve_coarse = top10_f1_vs_ndt(coarse_first, truth, max_ndt=2)
-    curve_exact = top10_f1_vs_ndt(exact_first, truth, max_ndt=2)
+    curve_coarse = top10_f1_curve(coarse_first, truth, max_ndt=2)
+    curve_exact = top10_f1_curve(exact_first, truth, max_ndt=2)
     assert curve_coarse[-1][1] == pytest.approx((2.0 / 3.0) / 10.0)
     assert curve_exact[-1][1] == pytest.approx(1.0 / 10.0)
 
@@ -141,7 +150,7 @@ def test_nir_boundary_half_is_not_a_success():
     det, gt = frozenset({1, 2, 3}), frozenset({2, 3, 4})
     assert nir(det, gt) == 0.5
     truth = GroundTruth((gt,), n=5)
-    curve = accuracy_vs_fppt([det], truth, max_fppt=1)
+    curve = accuracy_curve([det], truth, max_fppt=1)
     assert curve == [(0, 0.0), (1, 0.0)]
 
 
@@ -151,7 +160,7 @@ def test_nir_boundary_half_is_not_a_success():
 def test_perfect_detections_saturate_the_curve():
     truth = GroundTruth(blocks(10), n=100)
     detections = list(blocks(10))
-    curve = top10_f1_vs_ndt(detections, truth, max_ndt=10)
+    curve = top10_f1_curve(detections, truth, max_ndt=10)
     assert curve[4] == (5, 0.5)
     assert curve[9] == (10, 1.0)
 
@@ -159,7 +168,7 @@ def test_perfect_detections_saturate_the_curve():
 def test_disjoint_detections_score_zero():
     truth = GroundTruth(blocks(2), n=100)
     detections = [frozenset({50 + k}) for k in range(5)]
-    curve = top10_f1_vs_ndt(detections, truth, max_ndt=5)
+    curve = top10_f1_curve(detections, truth, max_ndt=5)
     assert all(y == 0.0 for _, y in curve)
 
 
@@ -196,12 +205,12 @@ def test_top10_matches_naive_reimplementation():
         for ndt in range(1, 9)
     ]
 
-    assert top10_f1_vs_ndt(detections, truth, max_ndt=8) == pytest.approx(expected)
+    assert top10_f1_curve(detections, truth, max_ndt=8) == pytest.approx(expected)
 
 
 def test_staircase_top10_curve():
     detections, truth = staircase_case()
-    curve = top10_f1_vs_ndt(detections, truth, max_ndt=6)
+    curve = top10_f1_curve(detections, truth, max_ndt=6)
     assert [x for x, _ in curve] == [1, 2, 3, 4, 5, 6]
     assert [y for _, y in curve] == pytest.approx(
         [0.1, 0.1, 0.18, 0.18, 0.74 / 3.0, 0.74 / 3.0]
@@ -214,7 +223,7 @@ def test_top10_curve_is_monotone():
     detections = [
         frozenset(rng.choice(60, size=6, replace=False).tolist()) for _ in range(12)
     ]
-    curve = top10_f1_vs_ndt(detections, truth, max_ndt=12)
+    curve = top10_f1_curve(detections, truth, max_ndt=12)
     ys = [y for _, y in curve]
     assert all(b >= a for a, b in zip(ys, ys[1:]))
     assert all(0.0 <= y <= 1.0 for y in ys)
@@ -223,9 +232,9 @@ def test_top10_curve_is_monotone():
 def test_top10_input_validation():
     truth = GroundTruth(blocks(1), n=20)
     with pytest.raises(InputError, match="max_ndt"):
-        top10_f1_vs_ndt([frozenset({1})], truth, max_ndt=0)
+        top10_f1_curve([frozenset({1})], truth, max_ndt=0)
     with pytest.raises(InputError, match="no detections"):
-        top10_f1_vs_ndt([], truth, max_ndt=3)
+        top10_f1_curve([], truth, max_ndt=3)
 
 
 # ------------------------------------------------------------ accuracy
@@ -233,25 +242,25 @@ def test_top10_input_validation():
 
 def test_perfect_detections_reach_full_accuracy_at_zero_fppt():
     truth = GroundTruth(blocks(3), n=30)
-    curve = accuracy_vs_fppt(list(blocks(3)), truth)
+    curve = accuracy_curve(list(blocks(3)), truth)
     assert curve == [(0, 1.0)]
 
 
 def test_zero_successes_stay_at_zero():
     truth = GroundTruth(blocks(2), n=100)
     detections = [frozenset({90 + k}) for k in range(4)]
-    curve = accuracy_vs_fppt(detections, truth)
+    curve = accuracy_curve(detections, truth)
     assert all(y == 0.0 for _, y in curve)
     assert curve[-1][0] == 4
 
 
 def test_staircase_accuracy_curve():
     detections, truth = staircase_case()
-    assert accuracy_vs_fppt(detections, truth) == [
+    assert accuracy_curve(detections, truth) == [
         (0, pytest.approx(1.0 / 3.0)),
         (1, 1.0),
     ]
-    capped = accuracy_vs_fppt(detections, truth, max_fppt=3)
+    capped = accuracy_curve(detections, truth, max_fppt=3)
     assert capped == [
         (0, pytest.approx(1.0 / 3.0)),
         (1, 1.0),
@@ -266,7 +275,7 @@ def test_accuracy_curve_is_monotone_in_budget():
     detections = [
         frozenset(rng.choice(60, size=9, replace=False).tolist()) for _ in range(15)
     ]
-    curve = accuracy_vs_fppt(detections, truth, max_fppt=8)
+    curve = accuracy_curve(detections, truth, max_fppt=8)
     ys = [y for _, y in curve]
     assert all(b >= a for a, b in zip(ys, ys[1:]))
     assert all(0.0 <= y <= 1.0 for y in ys)
@@ -311,16 +320,17 @@ def test_load_ground_truth(tmp_path):
 
 
 def test_write_curve_csv_exact_bytes(tmp_path):
-    path = tmp_path / "curve.csv"
-    write_curve_csv([(0, 0.5), (1, 1.0)], path)
-    assert path.read_text() == "x,y\n0,0.5\n1,1.0\n"
+    report = EvaluationReport(((0, 0.5), (1, 1.0)), ())
+    f1_path, acc_path = write_curves(report, tmp_path / "run")
+    assert (f1_path.name, acc_path.name) == ("run_top10_f1.csv", "run_accuracy.csv")
+    assert f1_path.read_text() == "x,y\n0,0.5\n1,1.0\n"
+    assert acc_path.read_text() == "x,y\n"
 
 
 def test_curve_csv_values_parse_back(tmp_path):
     detections, truth = staircase_case()
     report = evaluate(detections, truth, max_ndt=6, max_fppt=3)
-    path = tmp_path / "f1.csv"
-    write_curve_csv(report.top10_f1_curve, path)
+    path = write_curves(report, tmp_path / "run")[0]
     rows = path.read_text().strip().splitlines()[1:]
     parsed = [tuple(float(v) for v in row.split(",")) for row in rows]
     assert parsed == [(x, pytest.approx(y)) for x, y in report.top10_f1_curve]
@@ -433,8 +443,6 @@ def test_curves_match_the_reference_walk(case):
     ndt_cap = max_ndt if max_ndt is not None else max(len(detections), TOP_K)
     want_f1 = reference_top10_f1_vs_ndt(detections, truth, ndt_cap)
     want_acc = reference_accuracy_vs_fppt(detections, truth, max_fppt)
-    assert_same_curve(top10_f1_vs_ndt(detections, truth, ndt_cap), want_f1)
-    assert_same_curve(accuracy_vs_fppt(detections, truth, max_fppt), want_acc)
     report = evaluate(detections, truth, max_ndt=max_ndt, max_fppt=max_fppt)
     assert_same_curve(report.top10_f1_curve, tuple(want_f1))
     assert_same_curve(report.accuracy_fppt_curve, tuple(want_acc))
@@ -510,8 +518,8 @@ def test_evaluate_time_scales_linearly_in_detections():
             t0 = time.perf_counter()
             evaluate(detections, truth)
             times[k] = min(times[k], time.perf_counter() - t0)
-    slope, r_squared = loglog_fit(sizes, times)
+    slope, r_squared, fit = loglog_fit(sizes, times)
     # re-sorting every prefix and rescanning every point per budget gives a
     # slope near 2
-    assert slope <= 1.3, f"slope {slope:.3f}, times {times}"
-    assert r_squared >= 0.9, f"R^2 {r_squared:.4f}, times {times}"
+    assert slope <= 1.3, fit
+    assert r_squared >= 0.9, fit

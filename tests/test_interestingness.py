@@ -70,8 +70,8 @@ def test_reconstruction_matches_pair_loop():
     topic = CoarseTopic(members, sources=(0, 1, 2))
     tg = reconstructed_similarity(topic, cands)
     nodes = tg.nodes
-    for a in range(tg.size):
-        for b in range(tg.size):
+    for a in range(len(nodes)):
+        for b in range(len(nodes)):
             expected = 0.0
             if a != b:
                 for c in cands:

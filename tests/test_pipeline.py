@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hotmine import pipeline
 from hotmine.candidates import TopicCandidate, save_candidates
 from hotmine.cli import main
 from hotmine.errors import InputError
@@ -153,6 +154,19 @@ def test_build_mixed_graph_clamps_neighbor_counts():
     graph = build_mixed_graph(PipelineConfig(apply_kernel=False), data.w_vis, data.w_txt)
     assert graph.n == 6
     assert graph.edge_count <= 15
+
+
+def test_build_mixed_graph_refuses_sizes_that_disagree_before_any_graph_work(monkeypatch):
+    def no_graph_work(*args, **kwargs):
+        raise AssertionError("graph work on matrices of different sizes")
+
+    monkeypatch.setattr(pipeline, "gaussian_affinity", no_graph_work)
+    monkeypatch.setattr(pipeline, "knn_sparsify", no_graph_work)
+    big = generate_synthetic(SyntheticScenario(n_webpages=60, topic_sizes=(10,)), seed=0).w_vis
+    small = generate_synthetic(SyntheticScenario(n_webpages=3, topic_sizes=(3,)), seed=0).w_txt
+    for w_vis, w_txt, sizes in ((big, small, "60 vs 3"), (small, big, "3 vs 60")):
+        with pytest.raises(InputError, match=f"similarity matrices disagree on size: {sizes}$"):
+            build_mixed_graph(PipelineConfig(), w_vis, w_txt)
 
 
 # ------------------------------------------------------------- staging

@@ -18,7 +18,6 @@ from hotmine.ranking import (
     apply_weights,
     estimate_weights,
     iterate_weights,
-    poisson_log_likelihood,
     rank,
 )
 
@@ -115,9 +114,10 @@ def test_log_likelihood_non_decreasing():
         TopicCandidate(frozenset(rng.choice(10, size=4, replace=False).tolist()))
         for _ in range(5)
     ]
+    cov = _Coverage(g, cands)
     previous = -np.inf
     for mu in iterate_weights(g, cands, max_iter=300, tol=1e-9):
-        current = poisson_log_likelihood(g, cands, mu)
+        current = cov.log_likelihood(mu)
         assert current >= previous - 1e-10
         previous = current
 
@@ -157,7 +157,7 @@ def test_poisson_log_likelihood_matches_closed_form():
     g = pair_graph(2, {(0, 1): 0.6})
     cands = [TopicCandidate({0, 1})]
     mu = np.array([0.5])
-    assert poisson_log_likelihood(g, cands, mu) == pytest.approx(
+    assert _Coverage(g, cands).log_likelihood(mu) == pytest.approx(
         0.6 * np.log(0.5) - 0.5, abs=1e-12
     )
 
@@ -250,9 +250,10 @@ def test_fit_matches_pair_enumerating_reference(instance, max_iter, tol):
         return
     got = list(iterate_weights(g, cands, max_iter=max_iter + 1, tol=tol))
     assert len(got) == len(expected)
+    cov = _Coverage(g, cands)
     for mu, ref in zip(got, expected):
         assert np.array_equal(mu, ref)
-        assert poisson_log_likelihood(g, cands, mu) == pytest.approx(
+        assert cov.log_likelihood(mu) == pytest.approx(
             expected_ll(ref), rel=1e-9, abs=1e-9
         )
     if len(expected) > max_iter:
@@ -474,15 +475,6 @@ def test_iterate_validates_controls():
         estimate_weights(g, cands, max_iter=0)
     with pytest.raises(InputError, match="tol"):
         list(iterate_weights(g, cands, tol=0.0))
-
-
-def test_poisson_log_likelihood_validates_mu():
-    g = pair_graph(2, {(0, 1): 0.5})
-    cands = [TopicCandidate({0, 1})]
-    with pytest.raises(InputError, match="length"):
-        poisson_log_likelihood(g, cands, np.array([0.1, 0.2]))
-    with pytest.raises(InputError, match="nonnegative"):
-        poisson_log_likelihood(g, cands, np.array([-0.5]))
 
 
 def test_estimate_raises_when_cap_hit():

@@ -23,7 +23,7 @@ from hotmine.interestingness import (
     transition_stack,
 )
 from hotmine.pipeline import DetectedTopic, PipelineConfig, run_br
-from hotmine.refining import cut_stack, dissimilarity_stack, greedy_stack
+from hotmine.refining import RefinedTopic, apply_cut, cut_stack, dissimilarity_stack, greedy_stack
 
 # ------------------------------------------------------------ reference
 
@@ -44,7 +44,7 @@ def reference_reconstructed_similarity(topic, candidates):
 
 def reference_transition_matrix(tg):
     weights = tg.weights
-    m = tg.size
+    m = len(tg.nodes)
     degrees = weights.sum(axis=1)
     p = np.full((m, m), 1.0 / m)
     live = degrees > 0.0
@@ -215,6 +215,22 @@ def test_stacked_refine_matches_per_topic_reference(case, max_iter, margin, lam)
             assert np.array_equal(gains[t], ref_gains)
             assert np.array_equal(deltas[t, : lengths[t]], ref_deltas)
             assert cuts[t] == reference_cut_point(ref_deltas, config.margin)
+
+
+# drops from a short pool tie often; 0.0 and one-entry traces are common
+DROPS = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(DROPS, min_size=1, max_size=12),
+    st.one_of(st.sampled_from([0.0, 0.25, 1.0]), st.floats(0.0, 2.0)),
+)
+def test_apply_cut_matches_reference_cut_point(deltas, margin):
+    order = list(range(len(deltas) + 1))
+    refined = apply_cut(RefinedTopic(order, [1.0] * len(order), deltas), margin)
+    assert refined.cut_index == reference_cut_point(deltas, margin)
+    assert refined.members == frozenset(order[: refined.cut_index + 1])
 
 
 # ------------------------------------------------------------ similarity stack

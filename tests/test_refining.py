@@ -9,8 +9,9 @@ from hotmine.errors import InputError
 from hotmine.interestingness import TopicGraph, pagerank, transition_matrix
 from hotmine.oracle import brute_force_subset, sample_instance
 from hotmine.refining import (
+    RefinedTopic,
     apply_cut,
-    cut_point,
+    cut_stack,
     dissimilarity,
     goodness,
     greedy_select,
@@ -191,18 +192,28 @@ def test_deltas_truncate_at_first_non_positive_gain():
 # -------------------------------------------------------- cut point
 
 
+def cut_of(deltas, margin):
+    """apply_cut's cut index on a trace of the given drops."""
+    order = list(range(len(deltas) + 1))
+    return apply_cut(RefinedTopic(order, [1.0] * len(order), list(deltas)), margin).cut_index
+
+
 def test_cut_point_prefers_earliest_within_margin():
-    assert cut_point([0.05, 0.9, 0.1], margin=0.1) == 1
-    assert cut_point([0.85, 0.9, 0.1], margin=0.1) == 0
-    assert cut_point([0.05, 0.9, 0.87], margin=0.1) == 1
+    cases = [([0.05, 0.9, 0.1], 1), ([0.85, 0.9, 0.1], 0), ([0.05, 0.9, 0.87], 1)]
+    for deltas, cut in cases:
+        assert cut_of(deltas, margin=0.1) == cut
+    rows = np.array([deltas for deltas, _ in cases])
+    assert cut_stack(rows, np.array([3, 3, 3]), margin=0.1).tolist() == [1, 0, 1]
 
 
 def test_cut_point_zero_margin_is_argmax():
-    assert cut_point([0.2, 0.7, 0.7], margin=0.0) == 1
+    assert cut_of([0.2, 0.7, 0.7], margin=0.0) == 1
+    assert cut_stack(np.array([[0.2, 0.7, 0.7]]), np.array([3]), margin=0.0).tolist() == [1]
 
 
 def test_cut_point_flat_trace_cuts_first():
-    assert cut_point([0.0, 0.0, 0.0], margin=0.1) == 0
+    assert cut_of([0.0, 0.0, 0.0], margin=0.1) == 0
+    assert cut_stack(np.zeros((1, 3)), np.array([3]), margin=0.1).tolist() == [0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -213,14 +224,16 @@ def test_cut_point_flat_trace_cuts_first():
 )
 def test_cut_point_monotone_in_margin(deltas, m1, m2):
     lo, hi = sorted((m1, m2))
-    assert cut_point(deltas, margin=lo) >= cut_point(deltas, margin=hi)
+    assert cut_of(deltas, margin=lo) >= cut_of(deltas, margin=hi)
 
 
 def test_cut_point_validation():
     with pytest.raises(InputError, match="empty"):
-        cut_point([])
+        apply_cut(RefinedTopic([0], [1.0], []))
+    with pytest.raises(InputError, match="empty"):
+        cut_stack(np.zeros((2, 3)), np.array([3, 0]))
     with pytest.raises(InputError, match="margin"):
-        cut_point([0.5], margin=-0.1)
+        apply_cut(RefinedTopic([0, 1], [1.0, 0.5], [0.5]), margin=-0.1)
 
 
 # -------------------------------------------------------- end to end
