@@ -67,10 +67,12 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    """One flag per PipelineConfig field, typed by the field's class default.
-    A flag has no default: only the flags given reach the namespace."""
-    g = parser.add_argument_group("pipeline config", argument_default=argparse.SUPPRESS)
+def _config_flags() -> argparse.ArgumentParser:
+    """One flag per PipelineConfig field, typed by the field's class default,
+    as a parent parser. A flag has no default: only the flags given reach
+    the namespace."""
+    parent = argparse.ArgumentParser(add_help=False)
+    g = parent.add_argument_group("pipeline config", argument_default=argparse.SUPPRESS)
     for field in dataclasses.fields(PipelineConfig):
         flag, kind = "--" + field.name.replace("_", "-"), field_type(field)
         if kind is bool:
@@ -79,6 +81,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
             g.add_argument(flag, type=_list_of(float), metavar="T1,T2,...")
         else:
             g.add_argument(flag, type=kind)
+    return parent
 
 
 def _list_of(kind: type):
@@ -103,6 +106,14 @@ def _non_negative_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be a non-negative int, got {text!r}")
 
 
+# synth flags not spelled as their SyntheticScenario field
+_SYNTH_FLAGS = {
+    "fragments_per_topic": "--fragments",
+    "noise_cluster_size": "--cluster-size",
+    "noise_cluster_count": "--cluster-count",
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hotmine",
@@ -116,63 +127,54 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus")
-    p.add_argument("--n", type=int, required=True, help="total webpage count")
-    p.add_argument(
-        "--topic-sizes", type=_list_of(int), required=True, metavar="S1,S2,..."
-    )
-    p.add_argument("--fragments", type=int, default=3)
-    p.add_argument("--fragment-drop", type=int, default=0)
-    p.add_argument("--fragment-noise", type=int, default=0)
-    p.add_argument("--intra-similarity", type=float, default=0.8)
-    p.add_argument("--noise-similarity", type=float, default=0.05)
-    p.add_argument("--jitter", type=float, default=0.02)
-    p.add_argument("--cluster-size", type=int, default=12)
-    p.add_argument("--cluster-count", type=int, default=0)
+    # flag sets that several subcommands share, as parent parsers
+    config = _config_flags()
+    raw = argparse.ArgumentParser(add_help=False)
+    raw.add_argument("--vis", required=True, help="visual similarity file")
+    raw.add_argument("--txt", required=True, help="textual similarity file")
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("--graph", required=True)
+    cands = argparse.ArgumentParser(add_help=False)
+    cands.add_argument("--candidates", required=True)
+    tail = argparse.ArgumentParser(add_help=False)
+    tail.add_argument("--truth", help="optional ground-truth file")
+    tail.add_argument("--out-prefix", required=True)
+    tail.add_argument("--stop-after", choices=STAGES, default="refine")
+    tail.add_argument("--max-fppt", type=_non_negative_int, default=None)
+
+    p = sub.add_parser("synth", parents=[config], help="generate a synthetic corpus")
+    p.add_argument("--n", dest="n_webpages", type=int, required=True, help="total webpage count")
+    p.add_argument("--topic-sizes", type=_list_of(int), required=True, metavar="S1,S2,...")
+    for field in dataclasses.fields(SyntheticScenario):
+        if field.default is not dataclasses.MISSING:
+            flag = _SYNTH_FLAGS.get(field.name, "--" + field.name.replace("_", "-"))
+            p.add_argument(flag, dest=field.name, type=field_type(field), default=field.default)
     p.add_argument("--out-dir", required=True)
-    _add_config_flags(p)
+    p.set_defaults(handler=_cmd_synth)
 
-    p = sub.add_parser("graph", help="build the mixed kNN graph")
-    p.add_argument("--vis", required=True, help="visual similarity file")
-    p.add_argument("--txt", required=True, help="textual similarity file")
+    p = sub.add_parser("graph", parents=[raw, config], help="build the mixed kNN graph")
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    p.set_defaults(handler=_cmd_graph)
 
-    p = sub.add_parser("candidates", help="cascade candidates from a graph")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("candidates", parents=[graph, config], help="cascade candidates from a graph")
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    p.set_defaults(handler=_cmd_candidates)
 
-    p = sub.add_parser("rank", help="weight and rank candidates")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--candidates", required=True)
+    p = sub.add_parser("rank", parents=[graph, cands, config], help="weight and rank candidates")
     p.add_argument("--out", required=True, help="ranked candidate file")
-    _add_config_flags(p)
+    p.set_defaults(handler=_cmd_rank)
 
-    p = sub.add_parser("bundle", help="rank and bundle into coarse topics")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--candidates", required=True)
+    p = sub.add_parser("bundle", parents=[graph, cands, config], help="rank and bundle into coarse topics")
     p.add_argument("--out", required=True, help="coarse topic file")
-    _add_config_flags(p)
+    p.set_defaults(handler=_cmd_bundle)
 
-    p = sub.add_parser("refine", help="full pipeline on a prebuilt graph")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--candidates", required=True)
-    p.add_argument("--truth", help="optional ground-truth file")
-    p.add_argument("--out-prefix", required=True)
-    p.add_argument("--stop-after", choices=STAGES, default="refine")
-    p.add_argument("--max-fppt", type=_non_negative_int, default=None)
-    _add_config_flags(p)
+    p = sub.add_parser(
+        "refine", parents=[graph, cands, tail, config], help="full pipeline on a prebuilt graph"
+    )
+    p.set_defaults(handler=_cmd_refine)
 
-    p = sub.add_parser("run", help="full pipeline from raw matrices")
-    p.add_argument("--vis", required=True)
-    p.add_argument("--txt", required=True)
-    p.add_argument("--candidates", required=True)
-    p.add_argument("--truth", help="optional ground-truth file")
-    p.add_argument("--out-prefix", required=True)
-    p.add_argument("--stop-after", choices=STAGES, default="refine")
-    p.add_argument("--max-fppt", type=_non_negative_int, default=None)
-    _add_config_flags(p)
+    p = sub.add_parser("run", parents=[raw, cands, tail, config], help="full pipeline from raw matrices")
+    p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("eval", help="score detections against ground truth")
     p.add_argument("--detections", required=True, help="file in rank order")
@@ -180,12 +182,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="total webpage count")
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--max-fppt", type=_non_negative_int, default=None)
+    p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("oracle", help="run property checks on random instances")
     p.add_argument("--trials", type=int, default=1000, help="trials per check")
     p.add_argument("--nodes", type=_non_negative_int, default=8, help="instance size")
     p.add_argument("--instances", type=int, default=5)
     p.add_argument("--oracle-seed", type=_non_negative_int, default=0)
+    p.set_defaults(handler=_cmd_oracle)
     return parser
 
 
@@ -200,18 +204,8 @@ def _parse(argv: list[str]) -> tuple[argparse.Namespace, PipelineConfig]:
 
 
 def _cmd_synth(args: argparse.Namespace, config: PipelineConfig) -> int:
-    scenario = SyntheticScenario(
-        n_webpages=args.n,
-        topic_sizes=args.topic_sizes,
-        fragments_per_topic=args.fragments,
-        fragment_drop=args.fragment_drop,
-        fragment_noise=args.fragment_noise,
-        intra_similarity=args.intra_similarity,
-        noise_similarity=args.noise_similarity,
-        jitter=args.jitter,
-        noise_cluster_size=args.cluster_size,
-        noise_cluster_count=args.cluster_count,
-    )
+    fields = dataclasses.fields(SyntheticScenario)
+    scenario = SyntheticScenario(**{field.name: getattr(args, field.name) for field in fields})
     data = generate_synthetic(scenario, seed=config.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -327,24 +321,11 @@ def _cmd_oracle(args: argparse.Namespace, config: PipelineConfig) -> int:
     return 0 if failed == 0 else 1
 
 
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "graph": _cmd_graph,
-    "candidates": _cmd_candidates,
-    "rank": _cmd_rank,
-    "bundle": _cmd_bundle,
-    "refine": _cmd_refine,
-    "run": _cmd_run,
-    "eval": _cmd_eval,
-    "oracle": _cmd_oracle,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         args, config = _parse(sys.argv[1:] if argv is None else argv)
         try:
-            return _COMMANDS[args.command](args, config)
+            return args.handler(args, config)
         except MemoryError as exc:
             raise InputError(f"hotmine {args.command}: out of memory ({exc})") from exc
     except (InputError, OSError) as exc:

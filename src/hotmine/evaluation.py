@@ -78,22 +78,6 @@ def _nir(hit: int, size: int, other: int) -> float:
     return hit / (size + other - hit)  # |D & G| / |D | G|
 
 
-def f1(detected, truth) -> float:
-    """Harmonic mean of precision and recall, 0 when nothing overlaps."""
-    d, g = _as_set(detected), _as_set(truth)
-    if not d or not g:
-        raise InputError("f1 requires nonempty sets")
-    return _f1(len(d & g), len(d), len(g))
-
-
-def nir(detected, truth) -> float:
-    """Intersection ratio |D & G| / |D | G| (success needs > 0.5)."""
-    d, g = _as_set(detected), _as_set(truth)
-    if not d or not g:
-        raise InputError("nir requires nonempty sets")
-    return _nir(len(d & g), len(d), len(g))
-
-
 def _match(
     detections: list[frozenset[int]], truth: GroundTruth, score, threshold: float
 ) -> list[tuple[float, bool]]:
@@ -125,18 +109,15 @@ def _match(
     return matches
 
 
-def _top10_f1_vs_ndt(
-    detections: list[frozenset[int]], truth: GroundTruth, max_ndt: int
-) -> list[tuple[int, float]]:
-    """Curve of mean top-10 F1 for each detection-count cutoff 1..max_ndt."""
-    if max_ndt < 1:
-        raise InputError("max_ndt must be >= 1")
+def _top10_f1_vs_ndt(detections: list[frozenset[int]], truth: GroundTruth) -> list[tuple[int, float]]:
+    """Curve of mean top-10 F1 for each detection-count cutoff 1..NDT, where
+    NDT is the detection count but at least 10."""
     scores = [s for s, _ in _match(detections, truth, _f1, 0.0)]
     # the <= TOP_K best scores so far, kept and summed in descending order:
     # the same floats as sorting every prefix
     top: list[float] = []
     curve: list[tuple[int, float]] = []
-    for ndt in range(1, max_ndt + 1):
+    for ndt in range(1, max(len(scores), TOP_K) + 1):
         if ndt <= len(scores):
             insort(top, scores[ndt - 1], key=neg)
             del top[TOP_K:]
@@ -167,16 +148,12 @@ def _accuracy_vs_fppt(
 
 
 def evaluate(
-    ranked_detections: Sequence,
-    truth: GroundTruth,
-    max_ndt: int | None = None,
-    max_fppt: int | None = None,
+    ranked_detections: Sequence, truth: GroundTruth, max_fppt: int | None = None
 ) -> EvaluationReport:
     """Bundle both curves into a report; each detection becomes a set once."""
     detections = list(map(_as_set, ranked_detections))
-    ndt_cap = max_ndt if max_ndt is not None else max(len(detections), TOP_K)
     return EvaluationReport(
-        top10_f1_curve=tuple(_top10_f1_vs_ndt(detections, truth, ndt_cap)),
+        top10_f1_curve=tuple(_top10_f1_vs_ndt(detections, truth)),
         accuracy_fppt_curve=tuple(_accuracy_vs_fppt(detections, truth, max_fppt)),
     )
 

@@ -16,6 +16,7 @@ distance-to-affinity kernel and sparsify directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -52,10 +53,6 @@ class SyntheticScenario:
     def planted_total(self) -> int:
         return sum(self.topic_sizes)
 
-    @property
-    def noise_fraction(self) -> float:
-        return 1.0 - self.planted_total / self.n_webpages
-
     def __post_init__(self) -> None:
         object.__setattr__(self, "topic_sizes", tuple(int(s) for s in self.topic_sizes))
         if self.n_webpages < 1:
@@ -76,8 +73,8 @@ class SyntheticScenario:
                 "need 0 < noise_similarity < intra_similarity <= 1, got "
                 f"{self.noise_similarity} and {self.intra_similarity}"
             )
-        if self.jitter < 0.0:
-            raise InputError("jitter must be >= 0")
+        if not 0.0 <= self.jitter < inf:
+            raise InputError("jitter must be finite and >= 0")
         if self.noise_cluster_count < 0 or self.noise_cluster_size < 1:
             raise InputError("bad noise cluster shape")
         noise_needed = (

@@ -176,7 +176,7 @@ def test_a7_full_pipeline_beats_its_ablations_in_heavy_noise():
         noise_cluster_size=12,
         noise_cluster_count=20,
     )
-    assert scenario.noise_fraction >= 0.95
+    assert 1.0 - scenario.planted_total / scenario.n_webpages >= 0.95
     data = generate_synthetic(scenario, seed=0)
     config = PipelineConfig(apply_kernel=False, tau=0.2)
     graph = build_mixed_graph(config, data.w_vis, data.w_txt)
@@ -238,17 +238,17 @@ def test_a9_hand_computed_staircase_is_exact():
         frozenset(range(20, 25)),         # half of topic 2: F1 2/3, NIR 0.5
         frozenset(range(20, 30)) | {30, 31, 32},  # topic 2 plus junk
     ]
-    report = evaluate(detections, truth, max_ndt=6, max_fppt=3)
+    report = evaluate(detections, truth, max_fppt=3)
 
+    # the curve runs to 10 detections; past the sixth it stays flat
     expected_f1 = (
         (1, 1.0 / 10.0),
         (2, 1.0 / 10.0),
         (3, 1.8 / 10.0),
         (4, 1.8 / 10.0),
-        (5, (1.0 + 0.8 + 2.0 / 3.0) / 10.0),
-        (6, (1.0 + 0.8 + 2.0 / 3.0) / 10.0),
+        *((ndt, (1.0 + 0.8 + 2.0 / 3.0) / 10.0) for ndt in range(5, 11)),
     )
-    assert len(report.top10_f1_curve) == 6
+    assert len(report.top10_f1_curve) == 10
     for (ndt, got), (ndt_exp, want) in zip(report.top10_f1_curve, expected_f1):
         assert ndt == ndt_exp
         assert got == pytest.approx(want, abs=1e-12)

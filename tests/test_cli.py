@@ -14,11 +14,14 @@ import pytest
 
 import hotmine
 from conftest import fed_fifo
-from hotmine import graph, pipeline
+from hotmine import cli, graph, pipeline
 from hotmine.cli import _parse, main
 from hotmine.errors import InputError
-from hotmine.graph import load_similarity
+from hotmine.graph import (
+    gaussian_affinity, knn_sparsify, load_similarity, mix_graphs, save_similarity
+)
 from hotmine.pipeline import PipelineConfig
+from hotmine.synth import SyntheticScenario
 
 COMMON = ["--no-apply-kernel", "--knn-txt", "20", "--knn-vis", "8", "--tau", "0.2"]
 
@@ -130,6 +133,19 @@ def test_run_with_config_file_and_flag_override(corpus, tmp_path, capsys):
     assert prov["stage"] == "refine"
 
 
+def test_graph_applies_the_kernel_unless_told_not_to(corpus, tmp_path):
+    out, want = tmp_path / "kernel.graph", tmp_path / "want.graph"
+    vis, txt = corpus / "vis.sim", corpus / "txt.sim"
+    argv = ["graph", "--vis", str(vis), "--txt", str(txt), "--out", str(out)]
+    assert main([*argv, "--knn-txt", "20", "--knn-vis", "8"]) == 0
+    sides = [
+        knn_sparsify(gaussian_affinity(load_similarity(path)), k, kind)
+        for path, k, kind in ((vis, 8, "vis"), (txt, 20, "txt"))
+    ]
+    save_similarity(mix_graphs(*sides), want)
+    assert out.read_bytes() == want.read_bytes()
+
+
 def test_refine_on_prebuilt_graph(corpus, tmp_path):
     graph = tmp_path / "mixed.graph"
     assert main([
@@ -238,6 +254,64 @@ def test_each_config_field_has_a_flag(name):
     assert getattr(config, name) == value
     assert type(getattr(config, name)) is type(value)
     assert config == dataclasses.replace(PipelineConfig(), **{name: value})
+
+
+# one non-default value per SyntheticScenario field, as argv and as built;
+# three flags are not spelled as their field
+SCENARIO_VALUES = {
+    "n_webpages": (["--n", "90"], 90),
+    "topic_sizes": (["--topic-sizes", "10,20"], (10, 20)),
+    "fragments_per_topic": (["--fragments", "2"], 2),
+    "fragment_drop": (["--fragment-drop", "1"], 1),
+    "fragment_noise": (["--fragment-noise", "2"], 2),
+    "intra_similarity": (["--intra-similarity", "0.7"], 0.7),
+    "noise_similarity": (["--noise-similarity", "0.1"], 0.1),
+    "jitter": (["--jitter", "0.5"], 0.5),
+    "noise_cluster_size": (["--cluster-size", "4"], 4),
+    "noise_cluster_count": (["--cluster-count", "3"], 3),
+}
+
+
+@pytest.fixture
+def synth_scenario(monkeypatch):
+    """The SyntheticScenario `hotmine synth` builds from its required flags
+    and these, caught where it reaches generate_synthetic."""
+    built = []
+
+    def generate(scenario, seed):
+        built.append(scenario)
+        raise InputError("caught before generating")
+
+    monkeypatch.setattr(cli, "generate_synthetic", generate)
+
+    def build(*flags):
+        assert main(["synth", *COMMAND_ARGV["synth"], *flags]) == 1
+        return built.pop()
+
+    return build
+
+
+# the reprs also compare each value's type: 3 and 3.0 differ there
+def test_synth_defaults_are_the_scenario_defaults(synth_scenario):
+    assert repr(synth_scenario()) == repr(SyntheticScenario(60, (10,)))
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SyntheticScenario)])
+def test_each_scenario_field_has_a_flag(synth_scenario, name):
+    argv, value = SCENARIO_VALUES[name]
+    want = dataclasses.replace(SyntheticScenario(60, (10,)), **{name: value})
+    assert repr(synth_scenario(*argv)) == repr(want)
+
+
+@pytest.mark.parametrize("jitter", ["inf", "nan", "-0.1"])
+def test_synth_refuses_jitter_that_is_negative_or_not_finite(tmp_path, capsys, jitter):
+    out = tmp_path / "corpus"
+    argv = ["synth", "--n", "30", "--topic-sizes", "10", "--jitter", jitter, "--out-dir", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: jitter must be finite and >= 0"]
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_flag_types_do_not_follow_config_file_values(tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,9 +22,7 @@ from hotmine.evaluation import (
     _nir,
     EvaluationReport,
     evaluate,
-    f1,
     load_ground_truth,
-    nir,
     write_curves,
 )
 
@@ -31,8 +30,8 @@ nonempty_sets = st.frozensets(st.integers(0, 20), min_size=1, max_size=8)
 
 
 def top10_f1_curve(detections, truth, max_ndt):
-    """The top-10 F1 curve that evaluate reports."""
-    return list(evaluate(detections, truth, max_ndt=max_ndt).top10_f1_curve)
+    """The first max_ndt points of the top-10 F1 curve that evaluate reports."""
+    return list(evaluate(detections, truth).top10_f1_curve[:max_ndt])
 
 
 def accuracy_curve(detections, truth, max_fppt=None):
@@ -68,36 +67,51 @@ def blocks(count, size=10):
 
 
 # ------------------------------------------------------------ f1 and nir
+# _f1 and _nir score a pair from |D & G|, |D| and |G|.
+
+
+def reference_score(score, detected, truth):
+    """score of two members-or-sets, each made a set again, refusing an empty
+    one: the per-pair form the matching walk once called."""
+    d, g = _as_set(detected), _as_set(truth)
+    if not d or not g:
+        raise InputError(f"{'f1' if score is _f1 else 'nir'} requires nonempty sets")
+    return score(len(d & g), len(d), len(g))
 
 
 def test_f1_values():
-    assert f1({0, 1, 2}, {0, 1, 2}) == 1.0
-    assert f1(set(range(6)), {0, 1, 2}) == pytest.approx(2.0 / 3.0)
-    assert f1({0}, {0, 1, 2, 3}) == pytest.approx(0.4)
-    assert f1({0, 1}, {2, 3}) == 0.0
+    assert _f1(3, 3, 3) == 1.0  # {0, 1, 2} against itself
+    assert _f1(3, 6, 3) == pytest.approx(2.0 / 3.0)  # 0..5 against {0, 1, 2}
+    assert _f1(1, 1, 4) == pytest.approx(0.4)  # {0} against 0..3
+    assert _f1(0, 2, 2) == 0.0  # {0, 1} against {2, 3}
 
 
 def test_f1_accepts_objects_with_members():
-    assert f1(TopicCandidate({0, 1}), {0, 1}) == 1.0
+    truth = GroundTruth((frozenset({0, 1}),), n=4)
+    report = evaluate([TopicCandidate({0, 1})], truth)
+    assert report.top10_f1_curve[0] == (1, 1.0 / TOP_K)
 
 
 def test_f1_and_nir_reject_empty_sets():
+    truth = GroundTruth((frozenset({1}),), n=4)
+    with pytest.raises(InputError, match="f1 requires nonempty sets"):
+        evaluate([frozenset()], truth)
     with pytest.raises(InputError, match="nonempty"):
-        f1(set(), {1})
-    with pytest.raises(InputError, match="nonempty"):
-        nir({1}, set())
+        GroundTruth((frozenset(),), n=4)
 
 
 def test_nir_rejects_empty_first_set():
-    with pytest.raises(InputError, match="nonempty"):
-        nir(set(), {1})
+    # {0} takes the truth topic in the F1 walk (F1 0.5) but not in the NIR
+    # walk (NIR 1/3), so only the NIR walk meets the empty detection while
+    # a topic is still free
+    truth = GroundTruth((frozenset({0, 1, 2}),), n=4)
+    with pytest.raises(InputError, match="nir requires nonempty sets"):
+        evaluate([frozenset({0}), frozenset()], truth)
 
 
 def test_non_integer_members_are_rejected_not_truncated():
     with pytest.raises(InputError, match="integer"):
-        f1({1.5}, {1})
-    with pytest.raises(InputError, match="integer"):
-        nir({1}, TopicCandidate({1}).members | {2.0})
+        evaluate([frozenset({1})], GroundTruth((TopicCandidate({1}).members | {2.0},), n=4))
     with pytest.raises(InputError, match="integer"):
         evaluate([frozenset({0, 1.5})], GroundTruth((frozenset({0, 1}),), n=4))
     members = _as_set([np.int64(3), np.int32(1)])
@@ -105,13 +119,16 @@ def test_non_integer_members_are_rejected_not_truncated():
 
 
 def test_nir_values():
-    assert nir({1, 2}, {2, 3}) == pytest.approx(1.0 / 3.0)
-    assert nir({1, 2}, {1, 2}) == 1.0
-    assert nir({1}, {2}) == 0.0
+    assert _nir(1, 2, 2) == pytest.approx(1.0 / 3.0)  # {1, 2} against {2, 3}
+    assert _nir(2, 2, 2) == 1.0  # {1, 2} against itself
+    assert _nir(0, 1, 1) == 0.0  # {1} against {2}
 
 
 def test_nir_accepts_objects_with_members():
-    assert nir(TopicCandidate({1, 2}), {2, 3}) == pytest.approx(1.0 / 3.0)
+    # NIR 2/3 > 0.5: the one detection is a success
+    truth = GroundTruth((frozenset({1, 2, 3}),), n=4)
+    report = evaluate([TopicCandidate({1, 2})], truth)
+    assert report.accuracy_fppt_curve == ((0, 1.0),)
 
 
 def test_f1_value_is_argument_symmetric():
@@ -123,7 +140,7 @@ def test_f1_value_is_argument_symmetric():
     assert (precision, recall) == (0.5, 1.0)
     hit_rev = len(g & d)
     assert (hit_rev / len(g), hit_rev / len(d)) == (1.0, 0.5)
-    assert f1(d, g) == f1(g, d) == pytest.approx(2.0 / 3.0)
+    assert reference_score(_f1, d, g) == reference_score(_f1, g, d) == pytest.approx(2.0 / 3.0)
 
 
 def test_matching_protocol_is_rank_order_sensitive():
@@ -141,14 +158,14 @@ def test_matching_protocol_is_rank_order_sensitive():
 @settings(max_examples=100, deadline=None)
 @given(nonempty_sets, nonempty_sets)
 def test_nir_is_jaccard_and_symmetric(a, b):
-    assert nir(a, b) == len(a & b) / len(a | b)
-    assert nir(a, b) == nir(b, a)
-    assert 0.0 <= nir(a, b) <= 1.0
+    assert reference_score(_nir, a, b) == len(a & b) / len(a | b)
+    assert reference_score(_nir, a, b) == reference_score(_nir, b, a)
+    assert 0.0 <= reference_score(_nir, a, b) <= 1.0
 
 
 def test_nir_boundary_half_is_not_a_success():
     det, gt = frozenset({1, 2, 3}), frozenset({2, 3, 4})
-    assert nir(det, gt) == 0.5
+    assert reference_score(_nir, det, gt) == 0.5
     truth = GroundTruth((gt,), n=5)
     curve = accuracy_curve([det], truth, max_fppt=1)
     assert curve == [(0, 0.0), (1, 0.0)]
@@ -231,8 +248,6 @@ def test_top10_curve_is_monotone():
 
 def test_top10_input_validation():
     truth = GroundTruth(blocks(1), n=20)
-    with pytest.raises(InputError, match="max_ndt"):
-        top10_f1_curve([frozenset({1})], truth, max_ndt=0)
     with pytest.raises(InputError, match="no detections"):
         top10_f1_curve([], truth, max_ndt=3)
 
@@ -329,7 +344,7 @@ def test_write_curve_csv_exact_bytes(tmp_path):
 
 def test_curve_csv_values_parse_back(tmp_path):
     detections, truth = staircase_case()
-    report = evaluate(detections, truth, max_ndt=6, max_fppt=3)
+    report = evaluate(detections, truth, max_fppt=3)
     path = write_curves(report, tmp_path / "run")[0]
     rows = path.read_text().strip().splitlines()[1:]
     parsed = [tuple(float(v) for v in row.split(",")) for row in rows]
@@ -348,7 +363,7 @@ def reference_match_f1_scores(detections, truth):
         for gi, topic in enumerate(truth.topics):
             if gi in used:
                 continue
-            score = f1(det, topic)
+            score = reference_score(_f1, det, topic)
             if score > best_f1:
                 best_f1, best_gi = score, gi
         if best_gi is not None:
@@ -377,7 +392,7 @@ def reference_accuracy_vs_fppt(detections, truth, max_fppt=None):
         for gi, topic in enumerate(truth.topics):
             if gi in used:
                 continue
-            score = nir(det, topic)
+            score = reference_score(_nir, det, topic)
             if score > best_nir:
                 best_nir, best_gi = score, gi
         if best_gi is not None and best_nir > 0.5:
@@ -410,11 +425,10 @@ def walk_cases(draw):
     pool = draw(st.lists(small_sets, min_size=1, max_size=6))
     detections = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
     walk = len(detections)
-    max_ndt = draw(st.one_of(st.none(), st.integers(1, walk + 12)))
     max_fppt = draw(st.one_of(
         st.none(), st.sampled_from([-1, 0, walk + 1]), st.integers(-2, walk + 3)
     ))
-    return detections, truth, max_ndt, max_fppt
+    return detections, truth, max_fppt
 
 
 def assert_same_curve(got, want):
@@ -429,29 +443,26 @@ def assert_same_curve(got, want):
     [frozenset({1, 2, 3}), frozenset({2, 3, 4})],
     GroundTruth((frozenset({2, 3, 4}),), n=12),
     None,
-    None,
 ))
 # an all-zero prefix, then duplicates of one detection
 @example((
     [frozenset({9}), frozenset({10}), frozenset({0, 1}), frozenset({0, 1})],
     GroundTruth((frozenset({0, 1}), frozenset({0, 1, 2})), n=12),
-    2,
     0,
 ))
 def test_curves_match_the_reference_walk(case):
-    detections, truth, max_ndt, max_fppt = case
-    ndt_cap = max_ndt if max_ndt is not None else max(len(detections), TOP_K)
-    want_f1 = reference_top10_f1_vs_ndt(detections, truth, ndt_cap)
+    detections, truth, max_fppt = case
+    want_f1 = reference_top10_f1_vs_ndt(detections, truth, max(len(detections), TOP_K))
     want_acc = reference_accuracy_vs_fppt(detections, truth, max_fppt)
-    report = evaluate(detections, truth, max_ndt=max_ndt, max_fppt=max_fppt)
+    report = evaluate(detections, truth, max_fppt=max_fppt)
     assert_same_curve(report.top10_f1_curve, tuple(want_f1))
     assert_same_curve(report.accuracy_fppt_curve, tuple(want_acc))
 
 
 def reference_match(ranked_detections, truth, score, threshold):
     """The matching walk before it scored pairs from intersection sizes:
-    every detection made a set again, and f1 or nir made both sides sets
-    again for each (detection, truth topic) pair."""
+    every detection made a set again, and reference_score made both sides
+    sets again for each (detection, truth topic) pair."""
     detections = [_as_set(d) for d in ranked_detections]
     if not detections:
         raise InputError("no detections to evaluate")
@@ -471,7 +482,7 @@ def reference_match(ranked_detections, truth, score, threshold):
     return matches
 
 
-# the empty set makes detections that f1 and nir reject while a truth topic
+# the empty set makes detections that both walks reject while a truth topic
 # is still free, and that no walk scores once every topic is consumed
 maybe_empty_sets = st.one_of(small_sets, st.just(frozenset()))
 
@@ -484,9 +495,9 @@ maybe_empty_sets = st.one_of(small_sets, st.just(frozenset()))
 @example(truth=GroundTruth((frozenset({0}),), n=12), detections=[frozenset({0}), frozenset()])
 @example(truth=GroundTruth((frozenset({0}),), n=12), detections=[frozenset(), frozenset({0})])
 def test_match_scores_as_the_per_pair_walk(truth, detections):
-    for public, score, threshold in ((f1, _f1, 0.0), (nir, _nir, NIR_SUCCESS_THRESHOLD)):
+    for score, threshold in ((_f1, 0.0), (_nir, NIR_SUCCESS_THRESHOLD)):
         try:
-            expected = reference_match(detections, truth, public, threshold)
+            expected = reference_match(detections, truth, partial(reference_score, score), threshold)
         except InputError as exc:
             with pytest.raises(InputError) as got:
                 _match(detections, truth, score, threshold)

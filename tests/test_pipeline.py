@@ -15,7 +15,9 @@ from hotmine import pipeline
 from hotmine.candidates import TopicCandidate, save_candidates
 from hotmine.cli import main
 from hotmine.errors import InputError
-from hotmine.graph import save_similarity
+from hotmine.graph import (
+    SimilarityMatrix, gaussian_affinity, knn_sparsify, mix_graphs, save_similarity
+)
 from hotmine.pipeline import (
     STAGES,
     DetectedTopic,
@@ -154,6 +156,40 @@ def test_build_mixed_graph_clamps_neighbor_counts():
     graph = build_mixed_graph(PipelineConfig(apply_kernel=False), data.w_vis, data.w_txt)
     assert graph.n == 6
     assert graph.edge_count <= 15
+
+
+def random_similarity(rng, n):
+    """A symmetric n x n matrix with about 60% of its pairs stored, pair
+    (0, 1) among them: the kernel's data-driven bandwidth needs one."""
+    upper = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.6), 1)
+    upper[0, 1] = max(upper[0, 1], 0.5)
+    return SimilarityMatrix(upper + upper.T)
+
+
+def csr_bytes(graph):
+    return graph.n, graph.kind, [(a.dtype.str, a.tobytes()) for a in (graph.indptr, graph.indices, graph.data)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    sigma2=st.one_of(st.none(), st.floats(0.01, 4.0)),
+    knn_vis=st.integers(1, 15),
+    knn_txt=st.integers(1, 15),
+)
+@example(n=9, seed=0, sigma2=None, knn_vis=3, knn_txt=20)
+@example(n=9, seed=1, sigma2=0.25, knn_vis=20, knn_txt=3)
+def test_build_mixed_graph_kernel_branch_is_kernel_then_knn_then_mix(n, seed, sigma2, knn_vis, knn_txt):
+    rng = np.random.default_rng(seed)
+    w_vis, w_txt = random_similarity(rng, n), random_similarity(rng, n)
+    config = PipelineConfig(knn_vis=knn_vis, knn_txt=knn_txt, sigma2_affinity=sigma2)
+    assert config.apply_kernel  # the default
+    sides = [
+        knn_sparsify(gaussian_affinity(w, sigma2), min(k, n - 1), kind)
+        for w, k, kind in ((w_vis, knn_vis, "vis"), (w_txt, knn_txt, "txt"))
+    ]
+    assert csr_bytes(build_mixed_graph(config, w_vis, w_txt)) == csr_bytes(mix_graphs(*sides))
 
 
 def test_build_mixed_graph_refuses_sizes_that_disagree_before_any_graph_work(monkeypatch):

@@ -1,5 +1,7 @@
 """Synthetic corpus generator: shapes, determinism, similarity levels."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ def fragment_sets(data, scenario):
 def test_scenario_counts():
     sc = SyntheticScenario(n_webpages=1500, topic_sizes=(20, 20, 20))
     assert sc.planted_total == 60
-    assert sc.noise_fraction == pytest.approx(0.96)
+    assert 1.0 - sc.planted_total / sc.n_webpages == pytest.approx(0.96)
 
 
 @pytest.mark.parametrize("kwargs,msg", [
@@ -53,6 +55,14 @@ def test_scenario_counts():
 def test_scenario_validation(kwargs, msg):
     with pytest.raises(InputError, match=msg):
         SyntheticScenario(**kwargs)
+
+
+@pytest.mark.parametrize("jitter", [-0.1, math.inf, math.nan])
+def test_scenario_refuses_jitter_that_is_negative_or_not_finite(jitter):
+    # an infinite jitter would clip every entry to 0 or 1; a nan one would
+    # fail only later, in SimilarityMatrix
+    with pytest.raises(InputError, match=r"^jitter must be finite and >= 0$"):
+        SyntheticScenario(n_webpages=30, topic_sizes=(10,), jitter=jitter)
 
 
 # ------------------------------------------------------------ fragments
