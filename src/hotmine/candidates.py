@@ -63,6 +63,18 @@ def index_set(members: Iterable) -> frozenset[int]:
         raise InputError(f"members must be integer indices: {exc}") from exc
 
 
+def checked_thresholds(thresholds: Iterable[float]) -> tuple[float, ...]:
+    """thresholds as floats: one or more, each in (0, 1) and above the last."""
+    out = tuple(map(float, thresholds))
+    if not out:
+        raise InputError("at least one threshold is required")
+    if any(not (0.0 < t < 1.0) for t in out):
+        raise InputError("thresholds must lie strictly inside (0, 1)")
+    if any(b <= a for a, b in zip(out, out[1:])):
+        raise InputError("thresholds must be strictly increasing")
+    return out
+
+
 def cascade_candidates(
     g: SimilarityGraph, thresholds: Sequence[float]
 ) -> list[TopicCandidate]:
@@ -78,13 +90,7 @@ def cascade_candidates(
     """
     if g.n == 0 or len(g.data) == 0:
         raise InputError("cascade requires a graph with at least one edge")
-    thresholds = [float(t) for t in thresholds]
-    if not thresholds:
-        raise InputError("at least one threshold is required")
-    if any(not (0.0 < t < 1.0) for t in thresholds):
-        raise InputError("thresholds must lie strictly inside (0, 1)")
-    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-        raise InputError("thresholds must be strictly increasing")
+    thresholds = checked_thresholds(thresholds)
 
     out: list[TopicCandidate] = []
     seen: set[frozenset[int]] = set()

@@ -151,6 +151,8 @@ def evaluate(
     ranked_detections: Sequence, truth: GroundTruth, max_fppt: int | None = None
 ) -> EvaluationReport:
     """Bundle both curves into a report; each detection becomes a set once."""
+    if max_fppt is not None and max_fppt < 0:
+        raise InputError("max_fppt must be >= 0")
     detections = list(map(_as_set, ranked_detections))
     return EvaluationReport(
         top10_f1_curve=tuple(_top10_f1_vs_ndt(detections, truth)),

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import Field, asdict, dataclass, fields
-from math import inf, isfinite
+from math import inf
 from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import bundling, interestingness, ranking, refining
 from .bundling import CoarseTopic, bundle, nms_dedupe
-from .candidates import TopicCandidate, save_candidates
+from .candidates import TopicCandidate, checked_thresholds, save_candidates
 from .errors import InputError
 from .evaluation import EvaluationReport, GroundTruth, evaluate, write_curves
 from .graph import (
@@ -76,9 +76,14 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "cascade_thresholds", tuple(float(t) for t in self.cascade_thresholds)
-        )
+        """Types (see _is_a), then ranges; only the thresholds are converted."""
+        for field in fields(self):
+            value, kind = getattr(self, field.name), field_type(field)
+            if not (value is None is field.default or _is_a(value, kind)):
+                expected = _JSON_TYPES[kind] + (" or null" if field.default is None else "")
+                got = json.dumps(value, default=repr)
+                raise InputError(f"config key {field.name} must be {expected}, got {got}")
+        object.__setattr__(self, "cascade_thresholds", checked_thresholds(self.cascade_thresholds))
         if self.knn_txt < 1 or self.knn_vis < 1:
             raise InputError("knn_txt and knn_vis must be >= 1")
         if self.window < 0:
@@ -97,24 +102,18 @@ class PipelineConfig:
             raise InputError("iteration caps must be >= 1")
         if not (0.0 < self.pd_tol < inf and 0.0 < self.pr_tol < inf):
             raise InputError("tolerances must be positive and finite")
-        if self.sigma2_affinity is not None and not isfinite(self.sigma2_affinity):
-            raise InputError(f"sigma2_affinity must be finite, got {self.sigma2_affinity}")
+        if self.sigma2_affinity is not None and not 0.0 < self.sigma2_affinity < inf:
+            raise InputError(f"sigma2_affinity must be positive and finite, got {self.sigma2_affinity}")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "cascade_thresholds": list(self.cascade_thresholds)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        """Values must have their field's JSON type; none is converted."""
+        """Unknown keys are refused; values are checked as any config's are."""
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
-        for field in fields(cls):
-            value, kind = data.get(field.name, field.default), field_type(field)
-            if not (value is None is field.default or _is_a(value, kind)):
-                expected = _JSON_TYPES[kind] + (" or null" if field.default is None else "")
-                got = json.dumps(value, default=repr)
-                raise InputError(f"config key {field.name} must be {expected}, got {got}")
         return cls(**data)
 
 

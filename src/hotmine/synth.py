@@ -15,8 +15,9 @@ distance-to-affinity kernel and sparsify directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import inf
+from operator import index
 
 import numpy as np
 
@@ -54,7 +55,16 @@ class SyntheticScenario:
         return sum(self.topic_sizes)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "topic_sizes", tuple(int(s) for s in self.topic_sizes))
+        # integer fields through operator.index: 10.7 is refused, not truncated
+        for field in fields(self):
+            value, many = getattr(self, field.name), field.type == "tuple[int, ...]"
+            if not (many or field.type == "int"):
+                continue
+            try:
+                object.__setattr__(self, field.name, tuple(map(index, value)) if many else index(value))
+            except TypeError as exc:
+                kind = "a list of ints" if many else "an int"
+                raise InputError(f"{field.name} must be {kind}, got {value!r}") from exc
         if self.n_webpages < 1:
             raise InputError("scenario needs at least one webpage")
         if not self.topic_sizes or any(s < 1 for s in self.topic_sizes):

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -386,6 +387,13 @@ def test_invalid_config_json_exits_one(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_config_file_holding_no_object_exits_one(tmp_path, capsys):
+    bad = tmp_path / "list.json"
+    bad.write_text("[1, 2]")
+    assert main(["--config", str(bad), "oracle", "--trials", "1"]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: config file {bad} must hold a JSON object"]
+
+
 def test_unknown_config_key_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"taau": 0.4}))
@@ -433,6 +441,53 @@ def test_usage_error_exits_one_with_one_line(capsys, argv, expected):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: " + expected)
     assert captured.out == ""
+
+
+def test_oracle_without_instances_exits_one(capsys):
+    assert main(["oracle", "--instances", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: need at least one instance"]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags,expected", [
+    (["--cascade-thresholds", "nan,inf"], "thresholds must lie strictly inside (0, 1)"),
+    (["--cascade-thresholds", "0.5,0.2"], "thresholds must be strictly increasing"),
+    (["--sigma2-affinity", "-1"], "sigma2_affinity must be positive and finite, got -1.0"),
+    (["--sigma2-affinity", "0", "--apply-kernel"], "sigma2_affinity must be positive and finite, got 0.0"),
+])
+def test_out_of_range_config_flag_exits_one_before_any_output(corpus, tmp_path, capsys, flags, expected):
+    # COMMON turns the kernel off: a bad bandwidth is refused all the same
+    assert main(run_args(corpus, tmp_path, *flags)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {expected}"]
+    assert captured.out == ""
+    assert list(tmp_path.glob("out*")) == []
+
+
+def readme_quick_start():
+    """The README quick start's commands, each as hotmine's argv."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## Quick start\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()]
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_readme_quick_start_writes_strict_json(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_quick_start()
+    assert [argv[0] for argv in commands] == ["synth", "run"]
+    for argv in commands:
+        assert main(argv) == 0
+    assert "accuracy at FPPT<=5: 1.0000" in capsys.readouterr().out
+    text = (tmp_path / "corpus" / "run_provenance.json").read_text()
+    record = json.loads(text, parse_constant=refuse_constant)
+    assert PipelineConfig.from_dict(record["config"]) == PipelineConfig(
+        apply_kernel=False, knn_txt=20, knn_vis=8, tau=0.2
+    )
 
 
 def test_help_exits_zero(capsys):
@@ -617,7 +672,7 @@ def test_non_utf8_input_exits_one(corpus, tmp_path, capsys, flag):
     if flag == "--config":
         source = tmp_path / "config.json"
         source.write_text('{"tau": 0.2}\n')
-        args += ["--config", str(source)]
+        args = ["--config", str(source), *args]  # a top-level flag, before the command
     else:
         source = Path(args[args.index(flag) + 1])
     bad = tmp_path / f"bad{source.suffix}"

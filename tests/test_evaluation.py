@@ -305,6 +305,15 @@ def test_accuracy_at_takes_best_within_budget():
     assert report.accuracy_at(5) == 1.0
 
 
+@pytest.mark.parametrize("max_fppt", [-1, -5])
+def test_evaluate_refuses_a_negative_fppt_budget(max_fppt):
+    # an empty curve would read accuracy 0.0 at every budget
+    detections, truth = staircase_case()
+    with pytest.raises(InputError, match="^max_fppt must be >= 0$"):
+        evaluate(detections, truth, max_fppt=max_fppt)
+    assert evaluate(detections, truth, max_fppt=0).accuracy_fppt_curve == ((0, pytest.approx(1.0 / 3.0)),)
+
+
 def test_evaluate_defaults_cover_all_detections():
     detections, truth = staircase_case()
     report = evaluate(detections, truth)
@@ -452,6 +461,11 @@ def assert_same_curve(got, want):
 ))
 def test_curves_match_the_reference_walk(case):
     detections, truth, max_fppt = case
+    if max_fppt is not None and max_fppt < 0:
+        # the reference gives an empty accuracy curve here; evaluate refuses
+        with pytest.raises(InputError, match="^max_fppt must be >= 0$"):
+            evaluate(detections, truth, max_fppt=max_fppt)
+        return
     want_f1 = reference_top10_f1_vs_ndt(detections, truth, max(len(detections), TOP_K))
     want_acc = reference_accuracy_vs_fppt(detections, truth, max_fppt)
     report = evaluate(detections, truth, max_fppt=max_fppt)

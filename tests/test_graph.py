@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import pickle
 import time
 import tracemalloc
 import warnings
@@ -20,6 +21,8 @@ from hotmine.graph import (
     SimilarityGraph,
     SimilarityMatrix,
     _keys,
+    _receive_similarity,
+    _send_similarity,
     _union,
     gaussian_affinity,
     knn_sparsify,
@@ -541,6 +544,19 @@ def test_pair_loader_without_fork_loads_one_after_the_other(corpus, monkeypatch)
     monkeypatch.delattr(os, "fork")
     for got, path in zip(load_similarity_pair(*paths), paths):
         assert_same_matrix(got, load_similarity(path))
+
+
+def test_a_stream_that_ends_inside_the_arrays_is_no_result(corpus, tmp_path):
+    # what the txt child sends: a pickled header, then the arrays' raw bytes
+    sent = tmp_path / "sent"
+    _send_similarity(os.open(sent, os.O_WRONLY | os.O_CREAT), corpus / "txt.sim")
+    raw = sent.read_bytes()
+    feed = io.BytesIO(raw)
+    pickle.load(feed)
+    arrays = feed.tell()
+    assert_same_matrix(_receive_similarity(io.BytesIO(raw)), load_similarity(corpus / "txt.sim"))
+    for end in (0, arrays - 1, arrays, arrays + 1, len(raw) - 1):
+        assert _receive_similarity(io.BytesIO(raw[:end])) is None, end
 
 
 def test_matrix_is_canonical_csr():

@@ -105,10 +105,43 @@ def test_config_defaults():
     (dict(pr_tol=float("inf")), "tolerances"),
     (dict(sigma2_affinity=float("nan")), "sigma2_affinity"),
     (dict(sigma2_affinity=float("-inf")), "sigma2_affinity"),
+    (dict(sigma2_affinity=0.0), "^sigma2_affinity must be positive and finite, got 0.0$"),
+    (dict(sigma2_affinity=-1), "^sigma2_affinity must be positive and finite, got -1$"),
+    (dict(cascade_thresholds=(0.2, float("nan"))), r"^thresholds must lie strictly inside \(0, 1\)$"),
+    (dict(cascade_thresholds=(0.2, float("inf"))), r"^thresholds must lie strictly inside \(0, 1\)$"),
+    (dict(cascade_thresholds=(1.0,)), r"^thresholds must lie strictly inside \(0, 1\)$"),
+    (dict(cascade_thresholds=(0.5, 0.2)), "^thresholds must be strictly increasing$"),
+    (dict(cascade_thresholds=(0.5, 0.5)), "^thresholds must be strictly increasing$"),
+    (dict(cascade_thresholds=()), "^at least one threshold is required$"),
+    # the JSON type of each field, checked before any range, as in a file
+    (dict(window=2.5), "^config key window must be an int, got 2.5$"),
+    (dict(tau="0.2"), '^config key tau must be a number, got "0.2"$'),
+    (dict(tau=True), "^config key tau must be a number, got true$"),
+    (dict(apply_kernel="no"), '^config key apply_kernel must be a bool, got "no"$'),
+    (dict(knn_txt=True), "^config key knn_txt must be an int, got true$"),
+    (dict(knn_vis=np.int64(5)), "^config key knn_vis must be an int"),  # json.dumps refuses it
+    (dict(knn_txt=0, lam="x"), '^config key lam must be a number, got "x"$'),
 ])
 def test_config_validation(kwargs, msg):
     with pytest.raises(InputError, match=msg):
         PipelineConfig(**kwargs)
+
+
+@pytest.mark.parametrize("build", [
+    lambda data: PipelineConfig(**data),
+    PipelineConfig.from_dict,  # a config file
+    lambda data: replace(PipelineConfig(), **data),  # the CLI's flags
+], ids=["kwargs", "file", "replace"])
+@pytest.mark.parametrize("kwargs,msg", [
+    (dict(window=2.5), "config key window must be an int, got 2.5"),
+    (dict(cascade_thresholds=[0.2, float("nan")]), "thresholds must lie strictly inside (0, 1)"),
+    (dict(sigma2_affinity=-1.0), "sigma2_affinity must be positive and finite, got -1.0"),
+    (dict(tau=0), "tau must lie in (0, 1], got 0"),
+])
+def test_every_way_of_building_a_config_takes_the_same_checks(build, kwargs, msg):
+    with pytest.raises(InputError) as exc:
+        build(kwargs)
+    assert str(exc.value) == msg
 
 
 def test_config_dict_round_trip():
@@ -143,7 +176,7 @@ def test_readme_config_table_matches_pipeline_config():
 def test_config_from_dict_keeps_values_as_given():
     # ints pass for floats and null for the optional bandwidth; nothing is
     # converted, so provenance echoes the file
-    data = {"tau": 1, "sigma2_affinity": None, "cascade_thresholds": [0.25, 1]}
+    data = {"tau": 1, "sigma2_affinity": None, "cascade_thresholds": [0.25, 0.5]}
     config = PipelineConfig.from_dict(data)
     assert type(config.tau) is int and config.sigma2_affinity is None
     assert PipelineConfig.from_dict({"sigma2_affinity": 2}).sigma2_affinity == 2
@@ -521,7 +554,9 @@ configs = st.builds(
     tau=st.one_of(st.just(1), st.floats(0.0, 1.0, exclude_min=True)),
     sigma2_affinity=st.one_of(st.none(), st.integers(1, 9), st.floats(1e-300, 1e300)),
     apply_kernel=st.booleans(),
-    cascade_thresholds=st.lists(st.floats(0.0, 1.0), max_size=3).map(tuple),
+    cascade_thresholds=st.lists(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=3, unique=True
+    ).map(lambda ladder: tuple(sorted(ladder))),
 )
 BYPASSED = DetectedTopic(0, frozenset({4, 2}), frozenset({4, 2, 9}), (3, 1), True)
 NONFINITE = replace(
@@ -533,7 +568,7 @@ NONFINITE = replace(
 @settings(max_examples=300, deadline=None)
 @given(configs, st.sampled_from(STAGES), st.lists(detections, max_size=5))
 @example(PipelineConfig(), "rank", [])
-@example(PipelineConfig(cascade_thresholds=()), "bundle", [BYPASSED])
+@example(PipelineConfig(cascade_thresholds=(0.5,)), "bundle", [BYPASSED])
 @example(PipelineConfig(sigma2_affinity=2.5), "refine", [NONFINITE, BYPASSED])
 @example(PipelineConfig(), "refine", [replace(NONFINITE, pi=(1, 0.5, True), gains=(2,), deltas=(0.5, -1))])
 def test_provenance_bytes_match_json_dumps(tmp_path_factory, config, stage, dets):

@@ -430,6 +430,12 @@ def test_rank_requires_weights():
         rank([TopicCandidate({0, 1})])
 
 
+def test_rank_rejects_a_negative_weight():
+    cands = [TopicCandidate({0, 1}, 0.2), TopicCandidate({2, 3}, -0.5)]
+    with pytest.raises(InputError, match="^candidate 1 has negative weight$"):
+        rank(cands)
+
+
 def test_rank_rejects_empty_list():
     with pytest.raises(InputError, match="no candidates"):
         rank([])

@@ -304,6 +304,13 @@ def test_similarity_stack_matches_per_topic_block_adds(case):
     assert weights.tobytes() == expected.tobytes()
 
 
+def test_similarity_stack_refuses_topics_of_two_sizes():
+    candidates = [TopicCandidate(frozenset({0, 1, 2}), 0.5)]
+    topics = [CoarseTopic(frozenset({0, 1}), (0,)), CoarseTopic(frozenset({0, 1, 2}), (0,))]
+    with pytest.raises(InputError, match="^a similarity stack needs topics of one size$"):
+        similarity_stack(topics, candidates)
+
+
 # ------------------------------------------------------------ chunking
 
 

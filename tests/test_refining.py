@@ -163,6 +163,11 @@ def test_greedy_step_matches_marginal_gain_argmax():
         chosen.append(p)
 
 
+def test_greedy_rejects_scores_that_are_no_vector():
+    with pytest.raises(InputError, match="^pi must be a vector$"):
+        greedy_select(np.full((2, 2), 0.25), np.zeros((2, 2)))
+
+
 def test_greedy_rejects_empty_topic():
     with pytest.raises(InputError, match="empty topic"):
         greedy_select(np.array([]), np.zeros((0, 0)))

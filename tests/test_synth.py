@@ -57,6 +57,26 @@ def test_scenario_validation(kwargs, msg):
         SyntheticScenario(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs,msg", [
+    (dict(topic_sizes=(10.7, 10.2)), r"^topic_sizes must be a list of ints, got \(10.7, 10.2\)$"),
+    (dict(topic_sizes=10), "^topic_sizes must be a list of ints, got 10$"),
+    (dict(n_webpages=60.0), "^n_webpages must be an int, got 60.0$"),
+    (dict(fragments_per_topic=2.5), "^fragments_per_topic must be an int, got 2.5$"),
+    (dict(fragment_drop=1.5), "^fragment_drop must be an int, got 1.5$"),
+    (dict(fragment_noise="2"), "^fragment_noise must be an int, got '2'$"),
+    (dict(noise_cluster_size=4.0), "^noise_cluster_size must be an int, got 4.0$"),
+    (dict(noise_cluster_count=None), "^noise_cluster_count must be an int, got None$"),
+])
+def test_scenario_refuses_non_integers_rather_than_truncating(kwargs, msg):
+    with pytest.raises(InputError, match=msg):
+        SyntheticScenario(**{"n_webpages": 60, "topic_sizes": (10, 10), **kwargs})
+
+
+def test_scenario_takes_numpy_ints_as_python_ints():
+    scenario = SyntheticScenario(np.int64(60), [np.int32(10), 10], fragments_per_topic=np.int64(2))
+    assert repr(scenario) == repr(SyntheticScenario(60, (10, 10), fragments_per_topic=2))
+
+
 @pytest.mark.parametrize("jitter", [-0.1, math.inf, math.nan])
 def test_scenario_refuses_jitter_that_is_negative_or_not_finite(jitter):
     # an infinite jitter would clip every entry to 0 or 1; a nan one would
