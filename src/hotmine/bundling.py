@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
-from .errors import InputError
+from .errors import InputError, check_int
 from .ranking import RankedTopicList
 
 DEFAULT_WINDOW = 100
@@ -46,8 +46,7 @@ def bundle(
 ) -> list[CoarseTopic]:
     """Bundle a ranked candidate list into coarse topics (window = 0 merges
     nothing and passes every candidate through as its own topic)."""
-    if window < 0:
-        raise InputError(f"window must be >= 0, got {window}")
+    check_int("window", window, 0)
     if not (0.0 < tau <= 1.0):
         raise InputError(f"tau must lie in (0, 1], got {tau}")
     items = ranked.items

@@ -24,7 +24,7 @@ from typing import Any, BinaryIO, Callable, NoReturn, TextIO
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_int
 
 SYMMETRY_TOL = 1e-9
 _TRIPLET = np.dtype([("i", np.int32), ("j", np.int32), ("v", np.float64)])
@@ -94,7 +94,7 @@ def _checked(matrix: Any, what: str, tol: float) -> tuple:
         raise InputError(f"{what} values must lie in [0, 1]")
     if dense.diagonal().any():
         raise InputError(f"{what} must have a zero diagonal (no self-loops)")
-    return n, *_kept(indptr, indices, data, data != 0.0)
+    return n, indptr, indices, data
 
 
 class _SymmetricCSR:
@@ -193,9 +193,8 @@ def knn_sparsify(affinity: SimilarityMatrix, k: int, kind: str = "mixed") -> Sim
     output independent of any internal ordering quirks.
     """
     n = affinity.n
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise InputError(f"k must be an integer, got {k!r}")
-    if k < 1 or k >= n:
+    check_int("k", k, 1)
+    if k >= n:
         raise InputError(f"k must satisfy 1 <= k < n (n={n}), got {k}")
     a = affinity
     degree = np.diff(a.indptr)
@@ -370,9 +369,10 @@ def load_similarity_pair(vis: str | Path, txt: str | Path) -> tuple[SimilarityMa
     """load_similarity of both files.
 
     The parses hold the GIL, so a forked child parses txt while this process
-    parses vis; the child runs no BLAS. Errors come in the serial order:
-    vis's, then txt's. Without os.fork, the files are parsed one after the
-    other.
+    parses vis; the child runs no BLAS and pickles its matrix back through a
+    pipe, its arrays read straight into their buffers. Errors come in the
+    serial order: vis's, then txt's. Without os.fork, the files are parsed
+    one after the other.
     """
     if hasattr(os, "fork"):
         return _load_beside(vis, txt)
@@ -414,38 +414,27 @@ def _load_beside(vis: str | Path, txt: str | Path) -> tuple[SimilarityMatrix, Si
 
 
 def _send_similarity(fd: int, path: str | Path) -> None:
-    """Write to fd a pickled header, (n, [(dtype, length)] of the CSR arrays)
-    or the exception load_similarity(path) raised, then the arrays' raw bytes."""
+    """Pickle to fd what load_similarity(path) returned, or the exception it
+    raised. Protocol 5 writes each array's bytes as they lie in memory."""
     import pickle
 
     try:
-        m = load_similarity(path)
-        arrays = (m.indptr, m.indices, m.data)
-        head: Any = (m.n, [(a.dtype, len(a)) for a in arrays])
+        result: Any = load_similarity(path)
     except BaseException as exc:  # raised again by the reader
-        arrays, head = (), exc
+        result = exc
     with open(fd, "wb") as out:
-        pickle.dump(head, out)
-        for a in arrays:
-            out.write(a)
+        pickle.dump(result, out, protocol=5)
 
 
 def _receive_similarity(feed: BinaryIO) -> SimilarityMatrix | BaseException | None:
-    """What _send_similarity wrote to feed, the arrays read straight into
-    their own buffers; None if the stream ends early."""
+    """What _send_similarity wrote to feed, each array read straight into its
+    own buffer; None if the stream ends early."""
     import pickle
 
     try:
-        head = pickle.load(feed)
+        return pickle.load(feed)
     except (EOFError, pickle.UnpicklingError):
         return None
-    if isinstance(head, BaseException):
-        return head
-    n, layout = head
-    arrays = [np.empty(length, dtype) for dtype, length in layout]
-    if any(feed.readinto(a) != a.nbytes for a in arrays):
-        return None
-    return SimilarityMatrix._trusted(n, *arrays)
 
 
 def load_graph(path: str | Path) -> SimilarityGraph:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bundling import CoarseTopic
 from .candidates import TopicCandidate
-from .errors import ConvergenceError, InputError
+from .errors import ConvergenceError, InputError, check_int
 
 DEFAULT_DAMPING = 0.9
 DEFAULT_PR_TOL = 1e-9
@@ -141,8 +141,9 @@ def pagerank_stack(
     """
     if not (0.0 <= alpha < 1.0):
         raise InputError(f"alpha must lie in [0, 1), got {alpha}")
-    if tol <= 0.0 or max_iter < 1:
-        raise InputError("tol must be positive and max_iter >= 1")
+    if not 0.0 < tol < np.inf:
+        raise InputError(f"tol must be positive and finite, got {tol}")
+    check_int("max_iter", max_iter, 1)
     count, m = p.shape[0], p.shape[-1]
     if m == 0:
         raise InputError("empty transition matrix")

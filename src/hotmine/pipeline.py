@@ -104,6 +104,8 @@ class PipelineConfig:
             raise InputError("tolerances must be positive and finite")
         if self.sigma2_affinity is not None and not 0.0 < self.sigma2_affinity < inf:
             raise InputError(f"sigma2_affinity must be positive and finite, got {self.sigma2_affinity}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "cascade_thresholds": list(self.cascade_thresholds)}

@@ -30,7 +30,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .candidates import TopicCandidate
-from .errors import ConvergenceError, InputError
+from .errors import ConvergenceError, InputError, check_int
 from .graph import SimilarityGraph
 
 # Lower guard for the model mean inside the update ratio; keeps a zero mean
@@ -115,11 +115,9 @@ class _Coverage:
         hit = pairs[at] == graph_keys
         a = np.zeros(len(pairs))
         a[at[hit]] = g.data[hit]
-        # Summing in first-appearance order, zeros included, keeps the bits
-        # of the starting guess; any other order rounds differently.
-        first, in_first_order = np.zeros(len(order), dtype=bool), np.zeros(len(order))
-        first[order[starts]], in_first_order[order[starts]] = True, a
-        self.mu0 = float(in_first_order[first].sum()) / float(ends[-1])
+        # Summing in first-appearance order (order[starts]), zeros included,
+        # keeps the bits of the starting guess; any other order rounds differently.
+        self.mu0 = float(a[np.argsort(order[starts])].sum()) / float(ends[-1])
         edge = a > 0.0
         if not edge.any():
             raise InputError("no candidate covers any edge of the graph")
@@ -174,10 +172,9 @@ def iterate_weights(
     tol. Raising on non-convergence is the caller's business; this
     generator just runs out of iterations.
     """
-    if max_iter < 1:
-        raise InputError(f"max_iter must be >= 1, got {max_iter}")
-    if tol <= 0.0:
-        raise InputError(f"tol must be positive, got {tol}")
+    check_int("max_iter", max_iter, 1)
+    if not 0.0 < tol < np.inf:
+        raise InputError(f"tol must be positive and finite, got {tol}")
     cov = _Coverage(g, candidates)
     mu = cov.initial_weights()
     counts = np.maximum(cov.pair_counts, 1.0)
@@ -204,8 +201,7 @@ def estimate_weights(
     pass for a converged one. The message names the candidate whose weight
     still changed the most, relative to itself, in the last update.
     """
-    if max_iter < 1:
-        raise InputError(f"max_iter must be >= 1, got {max_iter}")
+    check_int("max_iter", max_iter, 1)
     # One spare update tells a fit that converged on its last allowed step
     # (the generator stops) from one that did not (it yields once more).
     prev = None

@@ -138,6 +138,8 @@ def greedy_stack(
     count, m = pi.shape
     if m == 0:
         raise InputError("cannot refine an empty topic")
+    if not 0.0 < lam < np.inf:
+        raise InputError(f"lam must be positive and finite, got {lam}")
     # Cross terms against the selection, kept incrementally: O(T * m) a step.
     # Topic t's entry j sits at flat position t * m + j (rows/columns of D).
     base = np.arange(count) * m
@@ -189,8 +191,8 @@ def cut_stack(deltas: np.ndarray, lengths: np.ndarray, margin: float = DEFAULT_M
     """
     if np.any(lengths == 0):
         raise InputError("cannot cut an empty gain-drop trace")
-    if margin < 0.0:
-        raise InputError(f"margin must be nonnegative, got {margin}")
+    if not 0.0 <= margin < np.inf:
+        raise InputError(f"margin must be >= 0 and finite, got {margin}")
     arr = np.where(np.arange(deltas.shape[-1]) < lengths[:, None], deltas, -np.inf)
     return (arr >= arr.max(axis=-1, keepdims=True) - margin).argmax(axis=-1)
 

@@ -55,10 +55,13 @@ class SyntheticScenario:
         return sum(self.topic_sizes)
 
     def __post_init__(self) -> None:
-        # integer fields through operator.index: 10.7 is refused, not truncated
+        # integer fields through operator.index: 10.7 is refused, not truncated;
+        # a float field takes an int or a float, never a bool
         for field in fields(self):
             value, many = getattr(self, field.name), field.type == "tuple[int, ...]"
-            if not (many or field.type == "int"):
+            if field.type == "float":
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise InputError(f"{field.name} must be a number, got {value!r}")
                 continue
             try:
                 object.__setattr__(self, field.name, tuple(map(index, value)) if many else index(value))

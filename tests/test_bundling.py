@@ -117,6 +117,8 @@ def test_bundle_never_merges_disjoint_inputs():
 
 @pytest.mark.parametrize("window,tau,msg", [
     (-1, 0.4, "window"),
+    (2.5, 0.4, "^window must be an int >= 0, got 2.5$"),
+    (True, 0.4, "^window must be an int >= 0, got True$"),
     (3, 0.0, "tau"),
     (3, 1.5, "tau"),
     (3, -0.2, "tau"),

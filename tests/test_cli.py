@@ -10,19 +10,31 @@ import signal
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hotmine
-from conftest import fed_fifo
+from conftest import fed_fifo, graph_from_dense
 from hotmine import cli, graph, pipeline
+from hotmine.candidates import TopicCandidate, save_candidates
 from hotmine.cli import _parse, main
-from hotmine.errors import InputError
+from hotmine.errors import ConvergenceError, InputError
+from hotmine.evaluation import TOP_K, GroundTruth
 from hotmine.graph import (
     gaussian_affinity, knn_sparsify, load_similarity, mix_graphs, save_similarity
 )
 from hotmine.pipeline import PipelineConfig
+from hotmine.ranking import RankedTopicList
 from hotmine.synth import SyntheticScenario
+from test_bundling import reference_bundle, reference_nms
+from test_evaluation import reference_accuracy_vs_fppt, reference_top10_f1_vs_ndt
+from test_pipeline import reference_provenance
+from test_ranking import reference_fit
+from test_refine_stacks import reference_detections
 
 COMMON = ["--no-apply-kernel", "--knn-txt", "20", "--knn-vis", "8", "--tau", "0.2"]
 
@@ -455,6 +467,7 @@ def test_oracle_without_instances_exits_one(capsys):
     (["--cascade-thresholds", "0.5,0.2"], "thresholds must be strictly increasing"),
     (["--sigma2-affinity", "-1"], "sigma2_affinity must be positive and finite, got -1.0"),
     (["--sigma2-affinity", "0", "--apply-kernel"], "sigma2_affinity must be positive and finite, got 0.0"),
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
 ])
 def test_out_of_range_config_flag_exits_one_before_any_output(corpus, tmp_path, capsys, flags, expected):
     # COMMON turns the kernel off: a bad bandwidth is refused all the same
@@ -816,3 +829,91 @@ def test_work_that_does_not_fit_in_memory_exits_one(tmp_path, command):
     err = out.stderr.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"error: hotmine {command}: out of memory (Unable to allocate ")
+
+
+# ------------------------------------------------ refine against the references
+# The stage references of the other test modules, composed into one pipeline:
+# the pair-enumerating fit, a plain sort, the union-set bundle scan, the
+# all-pairs suppression, the per-topic refine and the per-budget curves. What
+# they give is written in the documented file formats.
+
+
+def reference_refine_files(g, member_sets, truth_sets, config, max_fppt):
+    """The bytes `hotmine refine` writes, by file suffix."""
+    candidates = [TopicCandidate(members) for members in member_sets]
+    fit, _ = reference_fit(g, candidates, config.pd_max_iter + 1, config.pd_tol)
+    if len(fit) > config.pd_max_iter:
+        raise ConvergenceError("weight estimation did not converge")
+    for cand, weight in zip(candidates, fit[-1]):
+        cand.weight = float(weight)
+    order = sorted(range(len(candidates)), key=lambda k: (-candidates[k].weight * candidates[k].size, k))
+    ranked = RankedTopicList([candidates[k] for k in order], order)
+    coarse = reference_nms(reference_bundle(ranked, config.window, config.tau), config.nms_thresh)
+    detections = reference_detections(coarse, candidates, config)
+    sets = [det.members for det in detections]
+    truth = GroundTruth(tuple(truth_sets), n=g.n)
+    curves = {
+        "_top10_f1.csv": reference_top10_f1_vs_ndt(sets, truth, max(len(sets), TOP_K)),
+        "_accuracy.csv": reference_accuracy_vs_fppt(sets, truth, max_fppt),
+    }
+    topics = ["# stage: refine", *(" ".join(map(str, sorted(members))) for members in sets)]
+    result = SimpleNamespace(config=config, stage="refine", detections=detections)
+    return {
+        "_topics.txt": ("\n".join(topics) + "\n").encode(),
+        "_provenance.json": reference_provenance(result),
+        **{suffix: ("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in curve)).encode() for suffix, curve in curves.items()},
+    }
+
+
+@st.composite
+def refine_cases(draw):
+    """A graph on at most 30 pages, candidates, truth, config keys and an
+    FPPT budget."""
+    n = draw(st.integers(3, 30))
+    weight = st.floats(0.01, 1.0) | st.sampled_from([0.25, 0.5, 1.0, 0.0])
+    values = np.zeros((n, n))
+    values[np.triu_indices(n, 1)] = draw(st.lists(weight, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    pages = st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n)
+    pairs = st.frozensets(st.integers(0, n - 1), min_size=2, max_size=n)
+    keys = dict(
+        window=draw(st.integers(0, 12)),
+        tau=draw(st.sampled_from([0.2, 0.4, 1.0]) | st.floats(0.05, 1.0)),
+        nms_thresh=draw(st.sampled_from([0.4, 0.5]) | st.floats(0.05, 0.95)),
+        lam=draw(st.sampled_from([2.0, 0.5]) | st.floats(0.1, 10.0)),
+        margin=draw(st.sampled_from([0.1, 0.0]) | st.floats(0.0, 1.0)),
+    )
+    return (
+        values + values.T,
+        draw(st.lists(pairs, min_size=1, max_size=10)) + draw(st.lists(pages, max_size=2)),
+        draw(st.lists(pages, min_size=1, max_size=4)),
+        keys,
+        draw(st.none() | st.integers(0, 4)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=refine_cases())
+def test_refine_writes_what_the_composed_references_write(tmp_path_factory, case):
+    values, member_sets, truth_sets, keys, max_fppt = case
+    directory = tmp_path_factory.mktemp("refine")
+    g = graph_from_dense(values)
+    save_similarity(g, directory / "mixed.graph")
+    save_candidates(member_sets, directory / "candidates.txt")
+    save_candidates(truth_sets, directory / "truth.txt")
+    argv = [
+        "refine",
+        "--graph", str(directory / "mixed.graph"),
+        "--candidates", str(directory / "candidates.txt"),
+        "--truth", str(directory / "truth.txt"),
+        "--out-prefix", str(directory / "out"),
+        *(f"--{name.replace('_', '-')}={value!r}" for name, value in keys.items()),
+        *([] if max_fppt is None else ["--max-fppt", str(max_fppt)]),
+    ]
+    try:
+        want = reference_refine_files(g, member_sets, truth_sets, PipelineConfig(**keys), max_fppt)
+    except (InputError, ConvergenceError) as exc:
+        assert main(argv) == (2 if isinstance(exc, ConvergenceError) else 1)
+        return
+    assert main(argv) == 0
+    for suffix, data in want.items():
+        assert (directory / ("out" + suffix)).read_bytes() == data, suffix

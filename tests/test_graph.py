@@ -3,7 +3,7 @@
 import contextlib
 import io
 import os
-import pickle
+import pickletools
 import time
 import tracemalloc
 import warnings
@@ -547,15 +547,18 @@ def test_pair_loader_without_fork_loads_one_after_the_other(corpus, monkeypatch)
 
 
 def test_a_stream_that_ends_inside_the_arrays_is_no_result(corpus, tmp_path):
-    # what the txt child sends: a pickled header, then the arrays' raw bytes
+    # what the txt child sends: one pickle holding each CSR array's bytes
     sent = tmp_path / "sent"
     _send_similarity(os.open(sent, os.O_WRONLY | os.O_CREAT), corpus / "txt.sim")
     raw = sent.read_bytes()
-    feed = io.BytesIO(raw)
-    pickle.load(feed)
-    arrays = feed.tell()
     assert_same_matrix(_receive_similarity(io.BytesIO(raw)), load_similarity(corpus / "txt.sim"))
-    for end in (0, arrays - 1, arrays, arrays + 1, len(raw) - 1):
+    # an array's bytes follow its opcode and 8-byte length
+    spans = [(pos + 9, pos + 9 + len(arg)) for op, arg, pos in pickletools.genops(raw) if op.name == "BYTEARRAY8"]
+    assert len(spans) == 3  # indptr, indices, data
+    ends = {len(raw) - 1, *range(0, len(raw), 97)}
+    for lo, hi in spans:
+        ends |= {lo - 9, lo, lo + 1, (lo + hi) // 2, hi - 1, hi}
+    for end in sorted(ends):
         assert _receive_similarity(io.BytesIO(raw[:end])) is None, end
 
 

@@ -13,6 +13,7 @@ from hotmine.errors import ConvergenceError, InputError
 from hotmine.interestingness import (
     TopicGraph,
     pagerank,
+    pagerank_stack,
     reconstructed_similarity,
     transition_matrix,
 )
@@ -237,6 +238,17 @@ def test_pagerank_rejects_bad_controls():
         pagerank(p, tol=0.0)
     with pytest.raises(InputError, match="max_iter"):
         pagerank(p, max_iter=0)
+
+
+@pytest.mark.parametrize("controls", [
+    dict(tol=math.nan),  # unrefused, nan fails every stopping test: a run to the cap
+    dict(tol=math.inf),
+    dict(max_iter=2.5),
+    dict(max_iter=True),
+])
+def test_pagerank_stack_refuses_the_controls_a_config_refuses(controls):
+    with pytest.raises(InputError, match=f"^{next(iter(controls))} must be"):
+        pagerank_stack(star_transition()[None], **controls)
 
 
 def test_pagerank_raises_when_budget_too_small():

@@ -121,6 +121,7 @@ def test_config_defaults():
     (dict(knn_txt=True), "^config key knn_txt must be an int, got true$"),
     (dict(knn_vis=np.int64(5)), "^config key knn_vis must be an int"),  # json.dumps refuses it
     (dict(knn_txt=0, lam="x"), '^config key lam must be a number, got "x"$'),
+    (dict(seed=-1), "^seed must be >= 0, got -1$"),
 ])
 def test_config_validation(kwargs, msg):
     with pytest.raises(InputError, match=msg):

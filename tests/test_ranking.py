@@ -483,6 +483,19 @@ def test_iterate_validates_controls():
         list(iterate_weights(g, cands, tol=0.0))
 
 
+@pytest.mark.parametrize("controls", [
+    dict(tol=float("nan")),  # unrefused, nan fails every stopping test: a run to the cap
+    dict(tol=float("inf")),
+    dict(max_iter=2.5),
+    dict(max_iter=True),
+])
+@pytest.mark.parametrize("fit", [estimate_weights, lambda *args, **kw: list(iterate_weights(*args, **kw))])
+def test_fit_refuses_the_controls_a_config_refuses(fit, controls):
+    g = pair_graph(2, {(0, 1): 0.5})
+    with pytest.raises(InputError, match=f"^{next(iter(controls))} must be"):
+        fit(g, [TopicCandidate({0, 1})], **controls)
+
+
 def test_estimate_raises_when_cap_hit():
     g, cands, *_ = overlap_instance()
     steps = list(iterate_weights(g, cands, max_iter=5000, tol=1e-12))

@@ -15,6 +15,7 @@ from hotmine.refining import (
     dissimilarity,
     goodness,
     greedy_select,
+    greedy_stack,
     marginal_gain,
 )
 
@@ -239,6 +240,20 @@ def test_cut_point_validation():
         cut_stack(np.zeros((2, 3)), np.array([3, 0]))
     with pytest.raises(InputError, match="margin"):
         apply_cut(RefinedTopic([0, 1], [1.0, 0.5], [0.5]), margin=-0.1)
+
+
+@pytest.mark.parametrize("margin", [float("nan"), float("inf")])
+def test_cut_stack_refuses_a_margin_that_is_not_finite(margin):
+    # unrefused, a nan margin cuts every trace at step 0
+    with pytest.raises(InputError, match="^margin must be >= 0 and finite"):
+        cut_stack(np.array([[0.1, 0.5]]), np.array([2]), margin=margin)
+
+
+@pytest.mark.parametrize("lam", [-1.0, 0.0, float("nan"), float("inf")])
+def test_greedy_stack_refuses_a_tradeoff_that_is_not_positive_and_finite(lam):
+    _, pi, d = toy_instance()
+    with pytest.raises(InputError, match="^lam must be positive and finite"):
+        greedy_stack(np.asarray(pi)[None], np.asarray(d)[None], lam=lam)
 
 
 # -------------------------------------------------------- end to end

@@ -72,6 +72,23 @@ def test_scenario_refuses_non_integers_rather_than_truncating(kwargs, msg):
         SyntheticScenario(**{"n_webpages": 60, "topic_sizes": (10, 10), **kwargs})
 
 
+@pytest.mark.parametrize("kwargs,msg", [
+    (dict(jitter="0.1"), "^jitter must be a number, got '0.1'$"),
+    (dict(jitter=True), "^jitter must be a number, got True$"),
+    (dict(intra_similarity=None), "^intra_similarity must be a number, got None$"),
+    (dict(noise_similarity=False), "^noise_similarity must be a number, got False$"),
+    (dict(noise_similarity=[0.05]), r"^noise_similarity must be a number, got \[0.05\]$"),
+])
+def test_scenario_refuses_float_fields_that_are_not_numbers(kwargs, msg):
+    with pytest.raises(InputError, match=msg):
+        SyntheticScenario(**{"n_webpages": 60, "topic_sizes": (10, 10), **kwargs})
+
+
+def test_scenario_float_fields_take_ints():
+    scenario = SyntheticScenario(60, (10, 10), intra_similarity=1, jitter=0)
+    assert (scenario.intra_similarity, scenario.jitter) == (1, 0)
+
+
 def test_scenario_takes_numpy_ints_as_python_ints():
     scenario = SyntheticScenario(np.int64(60), [np.int32(10), 10], fragments_per_topic=np.int64(2))
     assert repr(scenario) == repr(SyntheticScenario(60, (10, 10), fragments_per_topic=2))
