@@ -173,12 +173,14 @@ def build_mixed_graph(
 ) -> SimilarityGraph:
     """Kernel (optional), per-modality kNN sparsify, then average.
 
-    Matrices of different sizes are refused before any graph work. The
-    neighbor counts are clamped to n - 1 so small corpora work with the
-    large-corpus defaults.
+    Matrices of different sizes, or of fewer than 2 pages, are refused
+    before any graph work. The neighbor counts are clamped to n - 1 so small
+    corpora work with the large-corpus defaults.
     """
     if w_vis.n != w_txt.n:
         raise InputError(f"similarity matrices disagree on size: {w_vis.n} vs {w_txt.n}")
+    if w_vis.n < 2:
+        raise InputError(f"a graph needs at least 2 pages, got n={w_vis.n}")
     sides = []
     for matrix, k, kind in ((w_vis, config.knn_vis, "vis"), (w_txt, config.knn_txt, "txt")):
         if config.apply_kernel:

@@ -19,6 +19,12 @@ edges only, looked up in the graph's CSR arrays; the -w_ij terms of the
 likelihood sum to -sum_k mu_k |pairs(C_k)|. A candidate's interestingness is its weight
 times its size, so a small dense fragment can outrank a big sparse blob of
 noise.
+
+The coverage is built from page classes (pages held by the same
+candidates), never from one key per (pair, candidate) incidence: it costs
+the distinct covered pairs plus the class pairs each candidate holds, not
+sum_k s_k(s_k-1)/2, and the starting guess still sums the distinct covered
+pairs in the order in which the candidates first list them.
 """
 
 from __future__ import annotations
@@ -40,8 +46,12 @@ MEAN_GUARD = 1e-12
 DEFAULT_MAX_ITER = 500
 DEFAULT_TOL = 1e-6
 
-# Most pair keys the coverage build computes in one block: 2 MiB of int64.
-KEY_BLOCK = 2 ** 18
+
+def _spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges starts[t] .. starts[t] + counts[t] - 1, concatenated."""
+    out = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    out += np.arange(len(out))
+    return out
 
 
 @dataclass
@@ -63,6 +73,13 @@ class _Coverage:
     Its (edge, candidate) entries run in ascending pair-key order, one
     edge's candidates ascending, so that both products below add each
     output's terms in the order of the CSC/CSR matvecs they replace.
+
+    It is built from page classes: pages held by the same candidates form
+    a class, and a pair drawn from classes A and B is covered by exactly
+    the candidates holding both. No array holds one entry per (pair,
+    candidate) incidence: the distinct covered pairs take one float each,
+    for the starting guess, and the rest grows with the class pairs each
+    candidate holds and the graph's edges.
     """
 
     def __init__(self, g: SimilarityGraph, candidates: Sequence[TopicCandidate]):
@@ -72,71 +89,110 @@ class _Coverage:
         members = [cand.members for cand in candidates]
         sizes = np.fromiter(map(len, members), dtype=np.int64, count=len(members))
         n_pairs = sizes * (sizes - 1) // 2
-        ends = np.cumsum(n_pairs)
-        # every candidate's members ascending, one candidate after another
-        heads = np.cumsum(sizes) - sizes
-        flat = np.fromiter(chain.from_iterable(map(sorted, members)), dtype=np.int64, count=int(sizes.sum()))
-        largest = flat[heads + sizes - 1]
-        outside = np.flatnonzero(largest >= n)
-        if len(outside):
-            raise InputError(f"candidate member {largest[outside[0]]} outside graph (n={n})")
-        # A candidate's keys run in lexicographic (i, j) order, i < j, as
-        # triu_indices gives them; the candidates of one size take one block
-        # of at most KEY_BLOCK keys at a time (a larger candidate, a block
-        # of its own, is copied as a slice).
-        keys = np.empty(int(ends[-1]), dtype=np.int64)
-        for size in np.flatnonzero(np.bincount(sizes)[2:]) + 2:
-            iu, ju = np.triu_indices(size, 1)
-            same = np.flatnonzero(sizes == size)
-            step = max(1, KEY_BLOCK // len(iu))
-            for ks in (same[lo : lo + step] for lo in range(0, len(same), step)):
-                rows = flat[heads[ks, None] + np.arange(size)]
-                block = np.take(rows * n, iu, axis=1)
-                block += np.take(rows, ju, axis=1)
-                if len(ks) == 1:
-                    keys[ends[ks[0]] - len(iu) : ends[ks[0]]] = block[0]
-                else:
-                    keys[(ends[ks] - len(iu))[:, None] + np.arange(len(iu))] = block
         holders: dict[int, list[int]] = {}  # page -> candidates holding it
         for k, pages in enumerate(members):
             for page in pages:
                 holders.setdefault(page, []).append(k)
-        if not len(keys):
-            raise InputError("no candidate covers any edge of the graph")
-        # One stable sort: each distinct pair heads a run of equal keys that
-        # lists its incidences in candidate order.
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        head = np.concatenate(([True], keys[1:] != keys[:-1]))
-        pairs, starts = keys[head], np.flatnonzero(head)
-        del keys
-        graph_keys = g.keys()  # the needles: fewer than the pairs on big inputs
-        at = np.minimum(np.searchsorted(pairs, graph_keys), len(pairs) - 1)
-        hit = pairs[at] == graph_keys
-        a = np.zeros(len(pairs))
-        a[at[hit]] = g.data[hit]
-        # Summing in first-appearance order (order[starts]), zeros included,
-        # keeps the bits of the starting guess; any other order rounds differently.
-        self.mu0 = float(a[np.argsort(order[starts])].sum()) / float(ends[-1])
-        edge = a > 0.0
-        if not edge.any():
-            raise InputError("no candidate covers any edge of the graph")
-        run_lengths = np.diff(starts, append=len(order))
-        self.rows = np.repeat(np.arange(int(edge.sum())), run_lengths[edge])
-        self.owner = np.searchsorted(ends, order[np.repeat(edge, run_lengths)], side="right")
-        # Pages held by the same candidates form a class. An edge's
-        # candidates, and so its mean, depend only on its ends' classes: each
-        # pair of classes takes its entries from its first edge.
-        classes: dict[tuple[int, ...], int] = {}
+        if max(holders) >= n:
+            largest = next(max(pages) for pages in members if max(pages) >= n)
+            raise InputError(f"candidate member {largest} outside graph (n={n})")
+        classes: dict[tuple[int, ...], int] = {}  # holders -> class, numbered as first met
+        pages = np.fromiter(holders, dtype=np.int64, count=len(holders))
         page_class = np.zeros(n, dtype=np.int64)
-        page_class[list(holders)] = [classes.setdefault(tuple(h), len(classes)) for h in holders.values()]
-        edges = pairs[edge]
-        class_pair = page_class[edges // n] * len(classes) + page_class[edges % n]
-        _, firsts, self.edge_class = np.unique(class_pair, return_index=True, return_inverse=True)
-        representative = np.isin(self.rows, firsts)
-        self.class_rows = self.edge_class[self.rows[representative]]
-        self.class_owner = self.owner[representative]
-        self.a = a[edge]
+        page_class[pages] = [classes.setdefault(tuple(h), len(classes)) for h in holders.values()]
+        n_classes = len(classes)
+        pages = np.sort(page_class[pages] * n + pages) % n  # by class, ascending within
+        class_size = np.bincount(page_class[pages], minlength=n_classes)
+        class_start = np.cumsum(class_size) - class_size
+        # (candidate, class) entries by candidate, then class
+        held_by = np.fromiter(map(len, classes), dtype=np.int64, count=n_classes)
+        entry_k = np.fromiter(chain.from_iterable(classes), dtype=np.int64, count=int(held_by.sum()))
+        # A page's holders as bits k mod 63, 0 if unheld: no candidate covers
+        # an edge whose ends share no bit, so the edge lookup skips it.
+        bits = np.zeros(n, dtype=np.int64)
+        bits[pages] = np.bitwise_or.reduceat(1 << entry_k % 63, np.cumsum(held_by) - held_by)[page_class[pages]]
+        key = np.sort(entry_k * n_classes + np.repeat(np.arange(n_classes), held_by))
+        entry_k, entry_class = key // n_classes, key % n_classes
+        del holders, classes, key  # spent temporaries are freed at once, to keep the peak low
+        # An entry pairs with each later entry of its candidate, and with
+        # itself when its class holds 2 pages or more. One stable sort lists
+        # each covered class pair's holders ascending, its first holder's first.
+        entry = np.arange(len(entry_k))
+        solo = class_size[entry_class] < 2
+        later = np.searchsorted(entry_k, entry_k, side="right") - entry - solo
+        left, right = np.repeat(entry, later), _spans(entry + solo, later)
+        code = entry_class[left] * n_classes + entry_class[right]
+        order = np.argsort(code, kind="stable")
+        code = code[order]
+        if not len(code):
+            raise InputError("no candidate covers any edge of the graph")
+        hstart = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
+        class_pairs, first_a, first_b = code[hstart], left[order[hstart]], right[order[hstart]]
+        holder = entry_k[left[order]]
+        hcount = np.diff(hstart, append=len(holder))
+        del code, order, left, right
+        # The graph's upper-triangle edges whose ends share a bit, ascending,
+        # and their class pairs, looked up with sorted needles (far faster).
+        i = np.repeat(np.arange(n, dtype=np.int32), np.diff(g.indptr))
+        up = np.flatnonzero(g.indices > i)
+        i, j = i[up], g.indices[up]
+        keep = np.flatnonzero((bits[i] & bits[j] != 0) & (g.data[up] > 0.0))
+        up, i, j = up[keep], i[keep], j[keep]
+        ci, cj = page_class[i], page_class[j]
+        code = np.minimum(ci, cj) * n_classes + np.maximum(ci, cj)
+        order = np.argsort(code)
+        code = code[order]
+        at = np.minimum(np.searchsorted(class_pairs, code), len(class_pairs) - 1)
+        hit = np.flatnonzero(class_pairs[at] == code)
+        covered = order[hit]
+        back = np.argsort(covered)  # the covered edges, ascending again
+        up, i, j, at = up[covered[back]], i[covered[back]], j[covered[back]], at[hit[back]]
+        del keep, ci, cj, code, order, hit, covered, back
+        ci, cj, self.a = page_class[i], page_class[j], g.data[up]
+        if not len(self.a):
+            raise InputError("no candidate covers any edge of the graph")
+        # Each covered edge's candidates, ascending: its class pair's holders.
+        counts = hcount[at]
+        self.rows = np.repeat(np.arange(len(self.a)), counts)
+        self.owner = holder[_spans(hstart[at], counts)]
+        # An edge's candidates, and so its mean, depend only on its ends'
+        # classes: each pair of classes takes its entries from its first edge.
+        _, firsts, self.edge_class = np.unique(ci * n_classes + cj, return_index=True, return_inverse=True)
+        firsts.sort()
+        self.class_rows = np.repeat(self.edge_class[firsts], counts[firsts])
+        self.class_owner = holder[_spans(hstart[at[firsts]], counts[firsts])]
+        # The starting guess sums the distinct covered pairs, zeros included,
+        # in first-appearance order: candidate k, then page i ascending, then
+        # i's partners j > i in the classes whose pair with i's class k holds
+        # first. Any other order rounds differently. Entry e = (k, A) has A's
+        # pages as rows and lists their partners, coded e*n + j; entries
+        # number at most sum(sizes), so no code overflows.
+        a_class, b_class = class_pairs // n_classes, class_pairs % n_classes
+        low, high = pages[class_start], pages[class_start + class_size - 1]
+        # a partner class wholly below an entry's pages partners none of them
+        forward = high[b_class] > low[a_class]
+        backward = (high[a_class] > low[b_class]) & (a_class != b_class)
+        seg = np.concatenate((first_a[forward], first_b[backward]))
+        partner = np.concatenate((b_class[forward], a_class[backward]))
+        del a_class, b_class, forward, backward
+        partners = pages[_spans(class_start[partner], class_size[partner])]
+        partners += np.repeat(seg * n, class_size[partner])
+        partners.sort()
+        row_entry = np.repeat(entry, class_size[entry_class])
+        row_page = pages[_spans(class_start[entry_class], class_size[entry_class])]
+        row_code = row_entry * n + row_page
+        seen = np.searchsorted(partners, row_code, side="right")
+        length = np.searchsorted(partners, (row_entry + 1) * n) - seen
+        in_order = np.argsort(entry_k[row_entry] * n + row_page)
+        base = np.empty_like(length)
+        base[in_order] = np.cumsum(length[in_order]) - length[in_order]
+        e = np.where(ci <= cj, first_a[at], first_b[at])
+        row = np.searchsorted(row_code, e * n + i)
+        place = base[row] + np.searchsorted(partners, e * n + j) - seen[row]
+        del partners, row_code, row_entry, row_page
+        first = np.zeros(int(length.sum()))
+        first[place] = self.a
+        self.mu0 = float(first.sum()) / float(n_pairs.sum())
         self.pair_counts = n_pairs.astype(float)
 
     def mean(self, mu: np.ndarray) -> np.ndarray:

@@ -679,6 +679,25 @@ def test_similarity_sizes_disagree_before_any_graph_work(corpus, tmp_path, capsy
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("command", ["run", "graph"])
+def test_a_one_page_corpus_is_refused_with_one_line(tmp_path, capsys, command):
+    one = tmp_path / "one.sim"
+    one.write_text("1 0\n")
+    save_candidates([TopicCandidate({0})], tmp_path / "candidates.txt")
+    inputs = sorted(tmp_path.iterdir())
+    args = [command, "--vis", str(one), "--txt", str(one)]
+    if command == "run":
+        args += ["--candidates", str(tmp_path / "candidates.txt"), "--out-prefix", str(tmp_path / "out")]
+    else:
+        args += ["--out", str(tmp_path / "g.graph")]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: a graph needs at least 2 pages, got n=1"]
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == inputs
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("flag", ["--vis", "--candidates", "--config"])
 def test_non_utf8_input_exits_one(corpus, tmp_path, capsys, flag):
     args = run_args(corpus, tmp_path)

@@ -239,6 +239,19 @@ def test_build_mixed_graph_refuses_sizes_that_disagree_before_any_graph_work(mon
             build_mixed_graph(PipelineConfig(), w_vis, w_txt)
 
 
+@pytest.mark.parametrize("apply_kernel", [True, False])
+def test_build_mixed_graph_refuses_a_one_page_corpus_before_any_graph_work(monkeypatch, apply_kernel):
+    # the clamped neighbor count would be 0, a k the caller never passed
+    def no_graph_work(*args, **kwargs):
+        raise AssertionError("graph work on a one-page corpus")
+
+    monkeypatch.setattr(pipeline, "gaussian_affinity", no_graph_work)
+    monkeypatch.setattr(pipeline, "knn_sparsify", no_graph_work)
+    one = SimilarityMatrix(np.zeros((1, 1)))
+    with pytest.raises(InputError, match="^a graph needs at least 2 pages, got n=1$"):
+        build_mixed_graph(PipelineConfig(apply_kernel=apply_kernel), one, one)
+
+
 # ------------------------------------------------------------- staging
 
 

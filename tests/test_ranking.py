@@ -1,5 +1,6 @@
 """Poisson-deconvolution weights and interestingness ranking."""
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_from_dense
-from hotmine import ranking
 from hotmine.candidates import TopicCandidate
 from hotmine.errors import ConvergenceError, InputError
 from hotmine.ranking import (
@@ -236,8 +236,64 @@ def fit_instances(draw):
     return graph_from_dense(vals), [TopicCandidate(sets[k]) for k in order]
 
 
+@st.composite
+def cascade_instances(draw):
+    """Nested candidates as a threshold cascade makes them: unions and
+    subsets of a few base blocks of shuffled pages, duplicates, singletons
+    and, now and then, a member outside the graph; so classes hold many
+    pages, interleaved by index, and class pairs have many holders."""
+    n = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.2, 0.6, 1.0]))
+    vals = np.triu(rng.uniform(0.01, 1.0, (n, n)) * (rng.uniform(0.0, 1.0, (n, n)) < density), 1)
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=4)))
+    pages = rng.permutation(n).tolist()
+    blocks = [frozenset(pages[lo:hi]) for lo, hi in zip([0, *cuts], [*cuts, n])]
+    block = st.sampled_from(blocks)
+    shapes = st.one_of(
+        st.lists(block, min_size=1, max_size=4).map(lambda bs: frozenset().union(*bs)),  # unions
+        block.flatmap(lambda b: st.sets(st.sampled_from(sorted(b)), min_size=1)),  # subsets
+        st.integers(0, n - 1).map(lambda page: {page}),  # singletons
+    )
+    sets = draw(st.lists(shapes, min_size=1, max_size=10))
+    sets += draw(st.lists(st.sampled_from(sets), max_size=4))  # duplicates
+    order = draw(st.permutations(range(len(sets))))
+    sets = [sets[k] for k in order]
+    if draw(st.integers(0, 9)) == 0:
+        k = draw(st.integers(0, len(sets) - 1))
+        sets[k] = set(sets[k]) | {n + draw(st.integers(0, 2))}
+    return graph_from_dense(vals + vals.T), [TopicCandidate(s) for s in sets]
+
+
+def ring_graph(n):
+    return pair_graph(n, {(i, (i + 1) % n): 0.1 * (1 + i % 3) for i in range(n)})
+
+
+# Hand-made class structures, each given to every test of the coverage build.
+CLASS_EXAMPLES = [
+    (graph_from_dense(np.zeros((4, 4))), [TopicCandidate(s) for s in ({0, 1, 2}, {1, 2, 3})]),  # edgeless
+    (ring_graph(6), [TopicCandidate(s) for s in (range(6), {0, 3, 5}, {4, 1})]),  # one holds every page
+    (ring_graph(6), [TopicCandidate(s) for s in ({0, 2, 4}, {0, 2, 4}, {1, 2, 5})]),  # two identical
+    (ring_graph(7), [TopicCandidate(s) for s in ({2, 5, 0}, {2, 5, 1, 3, 6}, {2, 5}, {2, 4, 5})]),  # one class in all
+]
+
+
+def class_examples(*rest):
+    """An @example per CLASS_EXAMPLES instance; rest fills the test's other
+    arguments."""
+    def decorate(test):
+        for instance in CLASS_EXAMPLES:
+            test = example(instance, *rest)(test)
+        return test
+    return decorate
+
+
+COVERAGE_INSTANCES = st.one_of(fit_instances(), cascade_instances())
+
+
 @settings(max_examples=300, deadline=None)
-@given(fit_instances(), st.integers(1, 60), st.sampled_from([1e-3, 1e-6, 1e-9]))
+@given(COVERAGE_INSTANCES, st.integers(1, 60), st.sampled_from([1e-3, 1e-6, 1e-9]))
+@class_examples(60, 1e-9)
 def test_fit_matches_pair_enumerating_reference(instance, max_iter, tol):
     g, cands = instance
     try:
@@ -286,13 +342,17 @@ def reference_coverage(g, candidates):
 
 
 VECTOR_ENTRIES = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(1e-6, 10.0))
+VECTORS = st.lists(VECTOR_ENTRIES, min_size=64, max_size=64)
 
 
 @settings(max_examples=300, deadline=None)
-@given(fit_instances(), st.data())
-def test_coverage_matches_scipy_build(instance, data):
+@given(COVERAGE_INSTANCES, VECTORS, VECTORS)
+@class_examples([0.0, 0.5, 1.0, 2.25] * 16, [1.0, 0.0, 0.5, 7.0, 1e-6, 0.5, 3.0, 0.25] * 8)
+def test_coverage_matches_scipy_build(instance, mu_entries, ratio_entries):
     """Pair lookup, starting guess and both membership products against
-    the scipy code, bit for bit; ties and zeros are common in the vectors."""
+    the scipy code, bit for bit; ties and zeros are common in the vectors,
+    drawn 64 entries at a time and cut to the length each product needs
+    (repeated past 64, which only a large cascade instance reaches)."""
     g, cands = instance
     try:
         reference_fit(g, cands, 1, 1e-6)
@@ -304,8 +364,8 @@ def test_coverage_matches_scipy_build(instance, data):
     cov = _Coverage(g, cands)
     assert cov.mu0 == mu0
     assert np.array_equal(cov.a, a)
-    mu = np.array(data.draw(st.lists(VECTOR_ENTRIES, min_size=len(cands), max_size=len(cands))))
-    ratio = np.array(data.draw(st.lists(VECTOR_ENTRIES, min_size=len(a), max_size=len(a))))
+    mu = np.resize(np.array(mu_entries), len(cands))
+    ratio = np.resize(np.array(ratio_entries), len(a))
     assert np.array_equal(cov.mean(mu), membership @ mu)
     assert np.array_equal(cov.numerator(ratio), membership.T @ ratio)
 
@@ -313,7 +373,7 @@ def test_coverage_matches_scipy_build(instance, data):
 def reference_coverage_arrays(g, candidates):
     """Every array of the coverage build as it stood with one key loop per
     candidate (each candidate's members, its triu_indices keys and its
-    pages' holders in one pass), before the keys came one block per size."""
+    pages' holders in one pass), before the coverage came from page classes."""
     if not candidates:
         raise InputError("no candidates to weight")
     n = g.n
@@ -369,8 +429,8 @@ def reference_coverage_arrays(g, candidates):
 
 @st.composite
 def block_instances(draw):
-    """Graphs of up to 40 pages whose candidates mix many sizes, so that
-    small key blocks hold several candidates of one size, or one."""
+    """Graphs of up to 40 pages whose candidates mix many sizes and
+    overlap at random, so that most classes hold a page or two."""
     n = draw(st.integers(2, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     vals = np.triu(rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(0.0, 1.0, (n, n)) < 0.3), 1)
@@ -381,28 +441,48 @@ def block_instances(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(fit_instances(), block_instances()), st.sampled_from([1, 3, 40, ranking.KEY_BLOCK]))
+@given(st.one_of(fit_instances(), block_instances(), cascade_instances()))
 # the message names the first candidate reaching outside, by its largest member
-@example((pair_graph(4, {(0, 1): 0.5}), [TopicCandidate(s) for s in ({0, 1}, {2, 9}, {0, 6})]), 3)
-def test_coverage_arrays_match_the_per_candidate_key_loop(instance, key_block):
+@example((pair_graph(4, {(0, 1): 0.5}), [TopicCandidate(s) for s in ({0, 1}, {2, 9}, {0, 6})]))
+@class_examples()
+def test_coverage_arrays_match_the_per_candidate_key_loop(instance):
     g, cands = instance
-    default, ranking.KEY_BLOCK = ranking.KEY_BLOCK, key_block
     try:
-        try:
-            expected = reference_coverage_arrays(g, cands)
-        except InputError as exc:
-            with pytest.raises(InputError) as got:
-                _Coverage(g, cands)
-            assert str(got.value) == str(exc)
-            return
-        cov = vars(_Coverage(g, cands))
-    finally:
-        ranking.KEY_BLOCK = default
+        expected = reference_coverage_arrays(g, cands)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            _Coverage(g, cands)
+        assert str(got.value) == str(exc)
+        return
+    cov = vars(_Coverage(g, cands))
     assert sorted(cov) == sorted(expected)
     assert repr(cov.pop("mu0")) == repr(expected.pop("mu0"))  # the same bits
     for name, array in expected.items():
         assert cov[name].dtype == array.dtype, name
         assert np.array_equal(cov[name], array), name
+
+
+def test_coverage_memory_follows_distinct_pairs_not_incidences():
+    """A cascade's nesting: 30 nested ranges of 370-399 pages and 8
+    fragments of 20 pages inside them. That is about 2.2M (pair, candidate)
+    incidences but about 79k distinct covered pairs. The build's traced peak
+    stays within a few int64s per distinct pair; one int64 key per
+    incidence alone would take 17 MB."""
+    rng = np.random.default_rng(0)
+    n = 420
+    g = pair_graph(n, {(i, int(j)): 0.5 for i in range(n) for j in rng.choice(n, 4) if j != i})
+    cands = [TopicCandidate(range(370 + t)) for t in range(30)]
+    cands += [TopicCandidate(range(start, start + 20)) for start in range(0, 400, 50)]
+    incidences = sum(c.size * (c.size - 1) // 2 for c in cands)
+    distinct = len({pair for c in cands for pair in combinations(sorted(c.members), 2)})
+    assert incidences > 2_200_000 and distinct < 80_000
+    tracemalloc.start()
+    try:
+        _Coverage(g, cands)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * distinct
 
 
 # --------------------------------------------------------------- ranking
