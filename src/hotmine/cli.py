@@ -34,12 +34,12 @@ from . import __version__
 from .candidates import cascade_candidates, load_candidates, save_candidates
 from .errors import ConvergenceError, InputError
 from .evaluation import EvaluationReport, evaluate, load_ground_truth, write_curves
-from .graph import load_graph, load_similarity_pair, save_similarity
+from .graph import load_graph, save_similarity
 from .oracle import check_monotonicity, check_submodularity, sample_instance
 from .pipeline import (
     STAGES,
     PipelineConfig,
-    build_mixed_graph,
+    build_mixed_graph_from_files,
     field_type,
     run_br,
     write_detections,
@@ -219,7 +219,7 @@ def _cmd_synth(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace, config: PipelineConfig) -> int:
-    graph = build_mixed_graph(config, *load_similarity_pair(args.vis, args.txt))
+    graph = build_mixed_graph_from_files(config, args.vis, args.txt)
     save_similarity(graph, args.out)
     print(f"{args.out}: {graph.n} nodes, {graph.edge_count} edges")
     return 0
@@ -290,7 +290,7 @@ def _cmd_refine(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def _cmd_run(args: argparse.Namespace, config: PipelineConfig) -> int:
-    graph = build_mixed_graph(config, *load_similarity_pair(args.vis, args.txt))
+    graph = build_mixed_graph_from_files(config, args.vis, args.txt)
     return _run_and_write(args, config, graph, load_candidates(args.candidates, n=graph.n))
 
 

@@ -11,7 +11,10 @@ proportion to the stored nonzeros, never n x n, and no module imports
 scipy, except SimilarityGraph.adjacency, a view for callers that want one.
 Where two entry sets meet (a transpose, a union), entries are addressed by
 their row-major int64 key i*n + j. Both are exchanged on disk in a plain
-triplet text format (see load_similarity).
+triplet text format (see load_similarity). A matrix only feeds its own
+modality's kNN graph: pipeline.build_mixed_graph_from_files builds each in
+its own process, and the textual child sends back its kNN graph, not its
+matrix, so no process holds both matrices.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import os
 import stat
 import warnings
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, NoReturn, TextIO
+from typing import Any, Callable, NoReturn, TextIO
 
 import numpy as np
 
@@ -363,78 +366,6 @@ def _raise_first_bad_line(fh: TextIO, path: Path, n: int, nnz: int) -> NoReturn:
     if len(pairs) != nnz:
         raise InputError(f"{path}: header promised {nnz} entries, found {len(pairs)}")
     raise InputError(f"{path}: malformed triplet body")
-
-
-def load_similarity_pair(vis: str | Path, txt: str | Path) -> tuple[SimilarityMatrix, SimilarityMatrix]:
-    """load_similarity of both files.
-
-    The parses hold the GIL, so a forked child parses txt while this process
-    parses vis; the child runs no BLAS and pickles its matrix back through a
-    pipe, its arrays read straight into their buffers. Errors come in the
-    serial order: vis's, then txt's. Without os.fork, the files are parsed
-    one after the other.
-    """
-    if hasattr(os, "fork"):
-        return _load_beside(vis, txt)
-    return load_similarity(vis), load_similarity(txt)
-
-
-def _load_beside(vis: str | Path, txt: str | Path) -> tuple[SimilarityMatrix, SimilarityMatrix]:
-    """load_similarity(vis) here and load_similarity(txt) in a forked child,
-    which is always reaped, and killed first if this process raises."""
-    import signal
-
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_end)
-            _send_similarity(write_end, txt)
-            code = 0
-        finally:
-            os._exit(code)  # never return into the caller's stack
-    os.close(write_end)
-    try:
-        with open(read_end, "rb") as feed:
-            w_vis = load_similarity(vis)
-            w_txt = _receive_similarity(feed)
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    if isinstance(w_txt, BaseException):
-        raise w_txt
-    if w_txt is None:
-        code = os.waitstatus_to_exitcode(status)
-        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-        raise InputError(f"{txt}: the process parsing it ended without a result ({how})")
-    return w_vis, w_txt
-
-
-def _send_similarity(fd: int, path: str | Path) -> None:
-    """Pickle to fd what load_similarity(path) returned, or the exception it
-    raised. Protocol 5 writes each array's bytes as they lie in memory."""
-    import pickle
-
-    try:
-        result: Any = load_similarity(path)
-    except BaseException as exc:  # raised again by the reader
-        result = exc
-    with open(fd, "wb") as out:
-        pickle.dump(result, out, protocol=5)
-
-
-def _receive_similarity(feed: BinaryIO) -> SimilarityMatrix | BaseException | None:
-    """What _send_similarity wrote to feed, each array read straight into its
-    own buffer; None if the stream ends early."""
-    import pickle
-
-    try:
-        return pickle.load(feed)
-    except (EOFError, pickle.UnpicklingError):
-        return None
 
 
 def load_graph(path: str | Path) -> SimilarityGraph:

@@ -1,7 +1,11 @@
-"""End-to-end topic mining: rank, bundle, refine, evaluate.
+"""End-to-end topic mining: graph, rank, bundle, refine, evaluate.
 
 The driver glues the stages together behind one config object:
 
+0. build each modality's kNN graph (optional kernel, then kNN) and mix
+   the two. From files, a forked child builds the textual graph while this
+   process builds the visual one, so each process holds one modality's
+   matrix, and the child sends back only its kNN graph;
 1. weight every candidate by Poisson deconvolution against the mixed graph
    and sort by interestingness;
 2. bundle ranked fragments into coarse topics and suppress near-duplicates;
@@ -21,11 +25,13 @@ deterministic given the config, so a rerun writes bit-identical outputs.
 from __future__ import annotations
 
 import json
+import os
+import pickle
 from dataclasses import Field, asdict, dataclass, fields
 from math import inf
 from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Any, BinaryIO, Sequence
 
 import numpy as np
 
@@ -35,7 +41,7 @@ from .candidates import TopicCandidate, checked_thresholds, save_candidates
 from .errors import InputError
 from .evaluation import EvaluationReport, GroundTruth, evaluate, write_curves
 from .graph import (
-    SimilarityGraph, SimilarityMatrix, gaussian_affinity, knn_sparsify, mix_graphs
+    SimilarityGraph, SimilarityMatrix, gaussian_affinity, knn_sparsify, load_similarity, mix_graphs
 )
 from .interestingness import pagerank_stack, similarity_stack, transition_stack
 from .ranking import apply_weights, estimate_weights, rank
@@ -177,16 +183,98 @@ def build_mixed_graph(
     before any graph work. The neighbor counts are clamped to n - 1 so small
     corpora work with the large-corpus defaults.
     """
-    if w_vis.n != w_txt.n:
-        raise InputError(f"similarity matrices disagree on size: {w_vis.n} vs {w_txt.n}")
-    if w_vis.n < 2:
-        raise InputError(f"a graph needs at least 2 pages, got n={w_vis.n}")
-    sides = []
-    for matrix, k, kind in ((w_vis, config.knn_vis, "vis"), (w_txt, config.knn_txt, "txt")):
-        if config.apply_kernel:
-            matrix = gaussian_affinity(matrix, sigma2=config.sigma2_affinity)
-        sides.append(knn_sparsify(matrix, min(k, matrix.n - 1), kind=kind))
-    return mix_graphs(sides[0], sides[1])
+    _check_sizes(w_vis.n, w_txt.n)
+    return mix_graphs(_modality_graph(config, w_vis, "vis"), _modality_graph(config, w_txt, "txt"))
+
+
+def _check_sizes(n_vis: int, n_txt: int) -> None:
+    if n_vis != n_txt:
+        raise InputError(f"similarity matrices disagree on size: {n_vis} vs {n_txt}")
+    if n_vis < 2:
+        raise InputError(f"a graph needs at least 2 pages, got n={n_vis}")
+
+
+def _modality_graph(config: PipelineConfig, matrix: SimilarityMatrix, kind: str) -> SimilarityGraph:
+    """One modality's kNN graph: the kernel if the config applies it, then
+    kNN with the modality's neighbor count (knn_vis or knn_txt)."""
+    if config.apply_kernel:
+        matrix = gaussian_affinity(matrix, sigma2=config.sigma2_affinity)
+    return knn_sparsify(matrix, min(getattr(config, f"knn_{kind}"), matrix.n - 1), kind=kind)
+
+
+def build_mixed_graph_from_files(config: PipelineConfig, vis: str | Path, txt: str | Path) -> SimilarityGraph:
+    """build_mixed_graph(config, load_similarity(vis), load_similarity(txt)).
+
+    The parses and kNN builds hold the GIL, so a forked child loads txt and
+    builds its graph while this process does vis's; each process holds one
+    matrix. The child runs no BLAS. It pickles back its matrix's n, then its
+    kNN graph, each array read straight into its buffer; in place of either
+    goes the exception it raised. Errors come in the serial order: vis's
+    load, txt's load, the sizes, then vis's graph and txt's graph; the sizes
+    are checked before this process starts any graph work. The child is
+    always reaped, and killed first if this process raises. Without
+    os.fork, the two sides are built one after the other.
+    """
+    if not hasattr(os, "fork"):
+        return build_mixed_graph(config, load_similarity(vis), load_similarity(txt))
+    import signal
+
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as out:
+                _send_txt_side(out, config, txt)
+            code = 0
+        finally:
+            os._exit(code)  # never return into the caller's stack
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as feed:
+            w_vis = load_similarity(vis)
+            got = _receive(feed)  # txt's n, its load error, or None
+            if type(got) is int:
+                _check_sizes(w_vis.n, got)
+                g_vis = _modality_graph(config, w_vis, "vis")
+                del w_vis
+                got = _receive(feed)  # txt's graph, its graph error, or None
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if isinstance(got, BaseException):
+        raise got
+    if got is None:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        raise InputError(f"{txt}: the process parsing it ended without a result ({how})")
+    return mix_graphs(g_vis, got)
+
+
+def _send_txt_side(out: BinaryIO, config: PipelineConfig, txt: str | Path) -> None:
+    """Pickle to out load_similarity(txt)'s n, flushed at once, then txt's
+    kNN graph; the exception a step raises replaces its result and ends the
+    stream. Protocol 5 writes each array's bytes as they lie in memory."""
+    try:
+        w_txt = load_similarity(txt)
+        pickle.dump(w_txt.n, out, protocol=5)
+        out.flush()  # the reader checks the sizes while the kNN runs
+        result: Any = _modality_graph(config, w_txt, "txt")
+    except BaseException as exc:  # raised again by the reader
+        result = exc
+    pickle.dump(result, out, protocol=5)
+
+
+def _receive(feed: BinaryIO) -> Any:
+    """The next object _send_txt_side wrote to feed; None if the stream
+    ends early."""
+    try:
+        return pickle.load(feed)
+    except (EOFError, pickle.UnpicklingError):
+        return None
 
 
 def _refine_topics(

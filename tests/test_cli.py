@@ -32,6 +32,7 @@ from hotmine.ranking import RankedTopicList
 from hotmine.synth import SyntheticScenario
 from test_bundling import reference_bundle, reference_nms
 from test_evaluation import reference_accuracy_vs_fppt, reference_top10_f1_vs_ndt
+from test_graph import reference_gaussian_affinity, reference_knn_sparsify, reference_load_similarity
 from test_pipeline import reference_provenance
 from test_ranking import reference_fit
 from test_refine_stacks import reference_detections
@@ -629,17 +630,89 @@ def test_similarity_errors_keep_the_serial_line_and_reap_the_child(corpus, tmp_p
 
 def test_a_txt_child_that_dies_exits_one_and_is_reaped(corpus, tmp_path, capsys, monkeypatch):
     txt, parent = str(corpus / "txt.sim"), os.getpid()
-    load = graph.load_similarity
+    load = pipeline.load_similarity
 
     def die_on_txt(path):
         if str(path) == txt and os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
         return load(path)
 
-    monkeypatch.setattr(graph, "load_similarity", die_on_txt)
+    monkeypatch.setattr(pipeline, "load_similarity", die_on_txt)
     assert main(run_args(corpus, tmp_path)) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: {txt}: the process parsing it ended without a result (killed by signal 9)"]
+    assert_no_child_left()
+
+
+def test_a_txt_child_killed_after_sending_n_exits_one_and_is_reaped(corpus, tmp_path, capsys, monkeypatch):
+    # the child dies in its kNN, after it has sent n; this process has by
+    # then checked the sizes and built the vis graph
+    txt, parent, built = corpus / "txt.sim", os.getpid(), []
+    knn = pipeline.knn_sparsify
+
+    def die_in_the_child(matrix, k, kind):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        built.append(kind)
+        return knn(matrix, k, kind=kind)
+
+    monkeypatch.setattr(pipeline, "knn_sparsify", die_in_the_child)
+    assert main(run_args(corpus, tmp_path)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {txt}: the process parsing it ended without a result (killed by signal 9)"]
+    assert built == ["vis"]
+    assert not (tmp_path / "out_topics.txt").exists()
+    assert_no_child_left()
+
+
+# A body of 0.0 triplets stores no edge, so with the kernel on and sigma2
+# left to the data, its graph fails: the error comes after every load check.
+NO_EDGE_BODY = "60 2\n0 1 0.0\n2 3 0.0\n"
+SIGMA2_ERROR = "error: cannot infer sigma2 from a matrix with no nonzero entries"
+
+
+@pytest.mark.parametrize("command", ["run", "graph"])
+@pytest.mark.parametrize("vis_case", ["valid", "bad-load", "size"])
+def test_a_txt_graph_error_comes_only_after_every_vis_and_size_check(corpus, tmp_path, capsys, command, vis_case):
+    txt = tmp_path / "txt.sim"
+    txt.write_text(NO_EDGE_BODY)
+    args = run_args(corpus, tmp_path, "--apply-kernel")
+    if command == "graph":
+        args = ["graph", *args[1:5], "--out", str(tmp_path / "g.graph"), "--apply-kernel"]
+    args[args.index("--txt") + 1] = str(txt)
+    expected = SIGMA2_ERROR
+    if vis_case != "valid":
+        vis = tmp_path / "vis.sim"
+        vis.write_text("60 1\n0 1 1.5\n" if vis_case == "bad-load" else "3 1\n0 1 0.5\n")
+        args[args.index("--vis") + 1] = str(vis)
+        expected = serial_error(vis) if vis_case == "bad-load" else "error: similarity matrices disagree on size: 3 vs 60"
+    assert main(args) == 1
+    assert capsys.readouterr().err.splitlines() == [expected]
+    assert not (tmp_path / "g.graph").exists() and not (tmp_path / "out_topics.txt").exists()
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("bad", [("txt",), ("vis", "txt")], ids=["txt", "both"])
+def test_when_both_graphs_fail_the_vis_error_wins(corpus, tmp_path, capsys, monkeypatch, bad):
+    # Both graph errors read the same, so the kernel names the process that
+    # raised: vis's graph is built here, txt's in the child.
+    parent, kernel = os.getpid(), pipeline.gaussian_affinity
+
+    def tagged(matrix, sigma2=None):
+        try:
+            return kernel(matrix, sigma2=sigma2)
+        except InputError as exc:
+            raise InputError(f"{exc} [{'main' if os.getpid() == parent else 'child'}]") from None
+
+    monkeypatch.setattr(pipeline, "gaussian_affinity", tagged)
+    args = run_args(corpus, tmp_path, "--apply-kernel")
+    for name in bad:
+        (tmp_path / f"{name}.sim").write_text(NO_EDGE_BODY)
+        args[args.index(f"--{name}") + 1] = str(tmp_path / f"{name}.sim")
+    assert main(args) == 1
+    where = "main" if "vis" in bad else "child"
+    assert capsys.readouterr().err.splitlines() == [f"{SIGMA2_ERROR} [{where}]"]
+    assert not (tmp_path / "out_topics.txt").exists()
     assert_no_child_left()
 
 
@@ -934,5 +1007,94 @@ def test_refine_writes_what_the_composed_references_write(tmp_path_factory, case
         assert main(argv) == (2 if isinstance(exc, ConvergenceError) else 1)
         return
     assert main(argv) == 0
+    for suffix, data in want.items():
+        assert (directory / ("out" + suffix)).read_bytes() == data, suffix
+
+
+# ------------------------------------------------- run against the references
+# The graph half in front of the same composition: the line-by-line dense
+# loader, the dense kernel, the full-row kNN and a dense mix.
+
+
+def reference_run_files(vis, txt, member_sets, truth_sets, config, max_fppt):
+    """The bytes `hotmine run` writes, by file suffix."""
+    values = [reference_load_similarity(path) for path in (vis, txt)]
+    n = len(values[0])
+    if len(values[1]) != n or n < 2:
+        raise InputError("no graph")
+    sides = []
+    for dense, k in zip(values, (config.knn_vis, config.knn_txt)):
+        if config.apply_kernel:
+            dense = reference_gaussian_affinity(dense, config.sigma2_affinity)
+        sides.append(reference_knn_sparsify(dense, min(k, n - 1)).toarray())
+    g = graph_from_dense((sides[0] + sides[1]) * 0.5)
+    return reference_refine_files(g, member_sets, truth_sets, config, max_fppt)
+
+
+def triplet_text(n, entries) -> str:
+    """A triplet file of the drawn (i, j, value) entries, in drawn order."""
+    return "".join([f"{n} {len(entries)}\n", *(f"{i} {j} {v!r}\n" for i, j, v in entries)])
+
+
+@st.composite
+def run_cases(draw):
+    """Two similarity files on at most 30 pages (now and then of different
+    sizes), candidates, truth, the graph config keys and an FPPT budget."""
+    n = draw(st.integers(2, 30))
+    sizes = (n, n if draw(st.integers(0, 19)) else draw(st.integers(1, 30)))
+    value = st.floats(0.01, 1.0) | st.sampled_from([0.25, 0.5, 1.0, 0.0])
+    texts = []
+    for size in sizes:
+        upper = [(i, j) for i in range(size) for j in range(i + 1, size)]
+        pairs = draw(st.lists(st.sampled_from(upper), unique=True, max_size=len(upper))) if upper else []
+        texts.append(triplet_text(size, [(i, j, draw(value)) for i, j in pairs]))
+    pages = st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n)
+    pairs = st.frozensets(st.integers(0, n - 1), min_size=2, max_size=n)
+    keys = dict(
+        knn_vis=draw(st.integers(1, 35)),
+        knn_txt=draw(st.integers(1, 35)),
+        apply_kernel=draw(st.booleans()),
+        sigma2_affinity=draw(st.none() | st.sampled_from([0.3, 1.0]) | st.floats(0.01, 4.0)),
+    )
+    return (
+        texts,
+        draw(st.lists(pairs, min_size=1, max_size=10)) + draw(st.lists(pages, max_size=2)),
+        draw(st.lists(pages, min_size=1, max_size=4)),
+        keys,
+        draw(st.none() | st.integers(0, 4)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=run_cases())
+def test_run_writes_what_the_composed_references_write(tmp_path_factory, case):
+    texts, member_sets, truth_sets, keys, max_fppt = case
+    directory = tmp_path_factory.mktemp("run")
+    vis, txt = directory / "vis.sim", directory / "txt.sim"
+    vis.write_text(texts[0])
+    txt.write_text(texts[1])
+    save_candidates(member_sets, directory / "candidates.txt")
+    save_candidates(truth_sets, directory / "truth.txt")
+    argv = [
+        "run",
+        "--vis", str(vis),
+        "--txt", str(txt),
+        "--candidates", str(directory / "candidates.txt"),
+        "--truth", str(directory / "truth.txt"),
+        "--out-prefix", str(directory / "out"),
+        "--knn-vis", str(keys["knn_vis"]),
+        "--knn-txt", str(keys["knn_txt"]),
+        "--apply-kernel" if keys["apply_kernel"] else "--no-apply-kernel",
+        *([] if keys["sigma2_affinity"] is None else [f"--sigma2-affinity={keys['sigma2_affinity']!r}"]),
+        *([] if max_fppt is None else ["--max-fppt", str(max_fppt)]),
+    ]
+    try:
+        want = reference_run_files(vis, txt, member_sets, truth_sets, PipelineConfig(**keys), max_fppt)
+    except (InputError, ConvergenceError) as exc:
+        assert main(argv) == (2 if isinstance(exc, ConvergenceError) else 1)
+        assert_no_child_left()
+        return
+    assert main(argv) == 0
+    assert_no_child_left()
     for suffix, data in want.items():
         assert (directory / ("out" + suffix)).read_bytes() == data, suffix

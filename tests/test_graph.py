@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import pickle
 import pickletools
 import time
 import tracemalloc
@@ -21,18 +22,16 @@ from hotmine.graph import (
     SimilarityGraph,
     SimilarityMatrix,
     _keys,
-    _receive_similarity,
-    _send_similarity,
     _union,
     gaussian_affinity,
     knn_sparsify,
     load_graph,
     load_similarity,
-    load_similarity_pair,
     mix_graphs,
     save_similarity,
 )
-from hotmine.pipeline import PipelineConfig, build_mixed_graph
+from hotmine import pipeline
+from hotmine.pipeline import PipelineConfig, _receive, _send_txt_side, build_mixed_graph, build_mixed_graph_from_files
 
 
 def sym(values):
@@ -496,9 +495,10 @@ def test_bad_body_from_a_pipe_names_the_file(tmp_path):
     assert str(caught.value).startswith(f"{path}: ") and "cannot be read again to locate the bad line" in str(caught.value)
 
 
-# --------------------------------------------------------------- pair loader
-# load_similarity_pair parses txt in a forked child; the arrays it returns
-# must be those of two load_similarity calls, dtype and bits.
+# --------------------------------------------------------------- file builder
+# build_mixed_graph_from_files builds the txt graph in a forked child; the
+# graph it returns must be build_mixed_graph's over two load_similarity
+# calls, dtype and bits, and its errors must be the same.
 
 
 @st.composite
@@ -515,51 +515,121 @@ def valid_triplet_pairs(draw):
     return tuple(texts)
 
 
+GRAPH_CONFIGS = st.builds(
+    PipelineConfig,
+    knn_vis=st.integers(1, 7),
+    knn_txt=st.integers(1, 7),
+    apply_kernel=st.booleans(),
+    sigma2_affinity=st.none() | st.sampled_from([0.3, 2.0]),
+)
+
+
 def assert_same_matrix(got, want):
     assert got.n == want.n
     for a, b in zip(csr_arrays(got), csr_arrays(want)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@given(texts=valid_triplet_pairs(), route=st.sampled_from(["file", "fifo", "fd"]))
-@example(texts=("3 0\n", "3 0\n"), route="fifo")
-@example(texts=("3 1\n0 2 0.5\n", "3 2\n1 2 0.5\n0 1 0.0\n"), route="fd")
-@example(texts=("4 2\n2 3 0.25\n0 1 1.0\n", "4 3\n2 3 0.0\n0 3 0.5\n0 1 0.125\n"), route="file")
+def assert_same_build(build, want):
+    """build() returns the graph want() returns, kind, dtypes and bits
+    included, or raises what want() raises."""
+    try:
+        expected = want()
+    except InputError as exc:
+        with pytest.raises(InputError) as caught:
+            build()
+        assert str(caught.value) == str(exc)
+        return
+    got = build()
+    assert got.kind == expected.kind == "mixed"
+    assert_same_matrix(got, expected)
+
+
+@given(texts=valid_triplet_pairs(), route=st.sampled_from(["file", "fifo", "fd"]), config=GRAPH_CONFIGS)
+@example(texts=("3 0\n", "3 0\n"), route="fifo", config=PipelineConfig())
+@example(texts=("3 1\n0 2 0.5\n", "3 2\n1 2 0.5\n0 1 0.0\n"), route="fd", config=PipelineConfig(knn_vis=1))
+@example(
+    texts=("4 2\n2 3 0.25\n0 1 1.0\n", "4 3\n2 3 0.0\n0 3 0.5\n0 1 0.125\n"),
+    route="file",
+    config=PipelineConfig(apply_kernel=False, knn_txt=1),
+)
 @settings(max_examples=150, deadline=None)
-def test_pair_loader_matches_two_serial_loads(tmp_path_factory, texts, route):
+def test_file_builder_matches_build_mixed_graph_over_two_loads(tmp_path_factory, texts, route, config):
     directory = tmp_path_factory.mktemp("pair")
     vis, txt = directory / "vis.sim", directory / "txt.sim"
     vis.write_text(texts[0])
     txt.write_text(texts[1])
     with triplet_source(directory, route, texts[1]) as source:
-        got = load_similarity_pair(vis, source)
-    for loaded, path in zip(got, (vis, txt)):
-        assert_same_matrix(loaded, load_similarity(path))
+        assert_same_build(
+            lambda: build_mixed_graph_from_files(config, vis, source),
+            lambda: build_mixed_graph(config, load_similarity(vis), load_similarity(txt)),
+        )
     with pytest.raises(ChildProcessError):  # the child was reaped
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_pair_loader_without_fork_loads_one_after_the_other(corpus, monkeypatch):
+def test_file_builder_without_fork_builds_one_side_after_the_other(corpus, monkeypatch):
     paths = corpus / "vis.sim", corpus / "txt.sim"
+    configs = PipelineConfig(), PipelineConfig(apply_kernel=False, knn_txt=20, knn_vis=8)
+    wants = [build_mixed_graph(config, *map(load_similarity, paths)) for config in configs]
     monkeypatch.delattr(os, "fork")
-    for got, path in zip(load_similarity_pair(*paths), paths):
-        assert_same_matrix(got, load_similarity(path))
+    for config, want in zip(configs, wants):
+        assert_same_matrix(build_mixed_graph_from_files(config, *paths), want)
 
 
-def test_a_stream_that_ends_inside_the_arrays_is_no_result(corpus, tmp_path):
-    # what the txt child sends: one pickle holding each CSR array's bytes
-    sent = tmp_path / "sent"
-    _send_similarity(os.open(sent, os.O_WRONLY | os.O_CREAT), corpus / "txt.sim")
-    raw = sent.read_bytes()
-    assert_same_matrix(_receive_similarity(io.BytesIO(raw)), load_similarity(corpus / "txt.sim"))
-    # an array's bytes follow its opcode and 8-byte length
-    spans = [(pos + 9, pos + 9 + len(arg)) for op, arg, pos in pickletools.genops(raw) if op.name == "BYTEARRAY8"]
-    assert len(spans) == 3  # indptr, indices, data
-    ends = {len(raw) - 1, *range(0, len(raw), 97)}
-    for lo, hi in spans:
-        ends |= {lo - 9, lo, lo + 1, (lo + hi) // 2, hi - 1, hi}
-    for end in sorted(ends):
-        assert _receive_similarity(io.BytesIO(raw[:end])) is None, end
+def sent_by_the_txt_child(config, path) -> tuple[bytes, int]:
+    """The bytes the txt child sends, and where its first pickle ends."""
+    out = io.BytesIO()
+    _send_txt_side(out, config, path)
+    feed = io.BytesIO(out.getvalue())
+    pickle.load(feed)
+    return out.getvalue(), feed.tell()
+
+
+CORPUS_CONFIG = PipelineConfig(apply_kernel=False, knn_txt=20, knn_vis=8)
+
+
+def test_the_txt_child_sends_its_n_then_its_graph_and_no_matrix(corpus):
+    path = corpus / "txt.sim"
+    matrix = load_similarity(path)
+    raw, n_end = sent_by_the_txt_child(CORPUS_CONFIG, path)
+    feed = io.BytesIO(raw)
+    assert _receive(feed) == matrix.n
+    sent = _receive(feed)
+    assert feed.read() == b""
+    want = knn_sparsify(matrix, CORPUS_CONFIG.knn_txt, kind="txt")
+    assert sent.kind == "txt"
+    assert_same_matrix(sent, want)
+    # the bytes on the pipe: the graph's three arrays and pickle overhead,
+    # nothing of the matrix's
+    arrays = [arg for op, arg, _ in pickletools.genops(raw[n_end:]) if op.name == "BYTEARRAY8"]
+    assert [len(a) for a in arrays] == [a.nbytes for a in csr_arrays(want)]
+    assert len(raw) <= sum(a.nbytes for a in csr_arrays(want)) + 1024
+    assert sum(a.nbytes for a in csr_arrays(want)) < sum(a.nbytes for a in csr_arrays(matrix))
+
+
+def test_a_stream_cut_anywhere_is_no_result(corpus):
+    # the two pickles the txt child sends: its n, then its graph; a cut
+    # leaves the reader without one of them, whichever byte it falls on
+    raw, _ = sent_by_the_txt_child(CORPUS_CONFIG, corpus / "txt.sim")
+    for end in range(len(raw)):
+        feed = io.BytesIO(raw[:end])
+        first = _receive(feed)
+        assert first is None or (first == 60 and _receive(feed) is None), end
+
+
+@pytest.mark.parametrize("cut", ["empty", "inside-n", "after-n", "inside-graph", "last-byte"])
+def test_a_cut_stream_from_the_child_is_refused_and_the_child_reaped(corpus, monkeypatch, cut):
+    txt = corpus / "txt.sim"
+    raw, n_end = sent_by_the_txt_child(CORPUS_CONFIG, txt)
+    ends = {"empty": 0, "inside-n": n_end // 2, "after-n": n_end, "inside-graph": (n_end + len(raw)) // 2}
+    end = ends.get(cut, len(raw) - 1)
+    monkeypatch.setattr(pipeline, "_send_txt_side", lambda out, config, path: out.write(raw[:end]))
+    with pytest.raises(InputError) as caught:
+        build_mixed_graph_from_files(CORPUS_CONFIG, corpus / "vis.sim", txt)
+    assert str(caught.value) == f"{txt}: the process parsing it ended without a result (exit status 0)"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_matrix_is_canonical_csr():
