@@ -4,6 +4,7 @@ Raw visual/textual similarity matrices are converted to affinities with a
 Gaussian kernel, sparsified to k-nearest-neighbor graphs, and mixed into a
 single multimodal graph whose edge set is the union of the two inputs and
 whose weights are the per-edge average (a missing edge contributes zero).
+A matrix whose every row holds k entries or fewer is its own kNN graph.
 
 Matrices and graphs are both held as canonical CSR arrays (indptr,
 indices, data) in plain numpy: every stage costs time and memory in
@@ -77,7 +78,8 @@ def _union(n: int, a: tuple, b: tuple, op: Callable) -> tuple:
 def _checked(matrix: Any, what: str, tol: float) -> tuple:
     """Canonical CSR arrays (n, indptr, indices, data) of a dense array,
     zeros dropped, checked to be square and symmetric within tol, with
-    finite values in [0, 1] and a zero diagonal."""
+    finite values in [0, 1] and a zero diagonal. An array symmetric only
+    within tol keeps its upper triangle, mirrored, as the triplet file does."""
     shape = np.shape(matrix)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise InputError(f"{what} must be square, got shape {shape}")
@@ -85,9 +87,13 @@ def _checked(matrix: Any, what: str, tol: float) -> tuple:
     dense = np.asarray(matrix, dtype=float)
     if not np.all(np.isfinite(dense)):
         raise InputError(f"{what} contains a non-finite entry")
-    asymmetry = dense - dense.T  # the one n x n float temporary, freed below
+    asymmetry = dense - dense.T  # the one n x n float temporary
     if np.any(np.abs(asymmetry, out=asymmetry) > tol):
         raise InputError(f"{what} is not symmetric within {tol:g}")
+    if asymmetry.any():  # the spent buffer takes the mirrored upper triangle
+        np.copyto(asymmetry, dense.T)
+        np.copyto(asymmetry, dense, where=np.tri(n, dtype=bool).T)
+        dense = asymmetry
     del asymmetry
     nonzero = dense != 0.0  # row-major, as CSR stores them
     indptr = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
@@ -193,7 +199,8 @@ def knn_sparsify(affinity: SimilarityMatrix, k: int, kind: str = "mixed") -> Sim
 
     A kept edge carries its original affinity value. Ties at the k-th
     neighbor are broken in favor of the lower node index, which makes the
-    output independent of any internal ordering quirks.
+    output independent of any internal ordering quirks. When no row holds
+    more than k entries, the graph shares the matrix's arrays.
     """
     n = affinity.n
     check_int("k", k, 1)
@@ -201,6 +208,8 @@ def knn_sparsify(affinity: SimilarityMatrix, k: int, kind: str = "mixed") -> Sim
         raise InputError(f"k must satisfy 1 <= k < n (n={n}), got {k}")
     a = affinity
     degree = np.diff(a.indptr)
+    if degree.max() <= k:  # every entry is kept, and a matrix is exactly symmetric
+        return SimilarityGraph._trusted(n, a.indptr, a.indices, a.data, kind=kind)
     keep = np.ones(len(a.data), dtype=bool)
     # Rows of one degree stack into a (rows x degree) block without padding;
     # there are at most sqrt(2 nnz) distinct degrees.

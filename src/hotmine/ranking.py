@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Generator, Sequence
 
 import numpy as np
 
@@ -205,11 +205,6 @@ class _Coverage:
         weights = np.take(ratio, self.rows)
         return np.bincount(self.owner, weights=weights, minlength=len(self.pair_counts))
 
-    def initial_weights(self) -> np.ndarray:
-        mu = np.full(len(self.pair_counts), self.mu0)
-        mu[self.pair_counts == 0] = 0.0  # a singleton covers no pairs
-        return mu
-
     def log_likelihood(self, mu: np.ndarray) -> float:
         with np.errstate(divide="ignore"):
             logs = np.log(self.mean(mu))
@@ -221,27 +216,30 @@ def iterate_weights(
     candidates: Sequence[TopicCandidate],
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
-) -> Iterator[np.ndarray]:
+) -> Generator[np.ndarray, None, np.ndarray | None]:
     """Yield the weight vector after each multiplicative update.
 
     Stops early once the largest relative coordinate change falls below
-    tol. Raising on non-convergence is the caller's business; this
-    generator just runs out of iterations.
+    tol, and returns None. If max_iter updates run out first, it returns
+    the relative change of each coordinate in the last update instead:
+    raising on non-convergence is the caller's business.
     """
     check_int("max_iter", max_iter, 1)
     if not 0.0 < tol < np.inf:
         raise InputError(f"tol must be positive and finite, got {tol}")
     cov = _Coverage(g, candidates)
-    mu = cov.initial_weights()
+    mu = np.full(len(cov.pair_counts), cov.mu0)
+    mu[cov.pair_counts == 0] = 0.0  # a singleton covers no pairs
     counts = np.maximum(cov.pair_counts, 1.0)
     for _ in range(max_iter):
         ratio = cov.a / np.maximum(cov.mean(mu), MEAN_GUARD)
         mu_new = mu * cov.numerator(ratio) / counts
-        change = np.max(np.abs(mu_new - mu) / np.maximum(mu, MEAN_GUARD))
+        change = np.abs(mu_new - mu) / np.maximum(mu, MEAN_GUARD)
         mu = mu_new
         yield mu.copy()
-        if change < tol:
-            return
+        if change.max() < tol:
+            return None
+    return change
 
 
 def estimate_weights(
@@ -255,25 +253,22 @@ def estimate_weights(
     Raises ConvergenceError when the largest relative change has not fallen
     below tol within max_iter updates: ranking on an unfinished fit would
     pass for a converged one. The message names the candidate whose weight
-    still changed the most, relative to itself, in the last update.
+    changed the most, relative to itself, in update max_iter, the last one.
     """
-    check_int("max_iter", max_iter, 1)
-    # One spare update tells a fit that converged on its last allowed step
-    # (the generator stops) from one that did not (it yields once more).
-    prev = None
-    for step, mu in enumerate(
-        iterate_weights(g, candidates, max_iter=max_iter + 1, tol=tol), start=1
-    ):
-        if step > max_iter:
-            change = np.abs(mu - prev) / np.maximum(prev, MEAN_GUARD)
-            k = int(np.argmax(change))
-            raise ConvergenceError(
-                f"weight estimation did not converge within {max_iter} "
-                f"iterations (tol={tol}); slowest: candidate {k} "
-                f"(size {candidates[k].size}, weight {prev[k]:.3g}, "
-                f"last relative change {change[k]:.3g})"
-            )
-        prev = mu
+    steps = iterate_weights(g, candidates, max_iter=max_iter, tol=tol)
+    try:
+        while True:
+            mu = next(steps)
+    except StopIteration as stop:
+        change = stop.value
+    if change is not None:
+        k = int(np.argmax(change))
+        raise ConvergenceError(
+            f"weight estimation did not converge within {max_iter} "
+            f"iterations (tol={tol}); slowest: candidate {k} "
+            f"(size {candidates[k].size}, weight {mu[k]:.3g}, "
+            f"last relative change {change[k]:.3g})"
+        )
     return mu
 
 

@@ -15,11 +15,12 @@ lam >= 2 with D normalized to unit total mass and pi a distribution, which
 is what makes plain greedy selection near-optimal.
 
 Greedy selection walks all members, each step taking the largest marginal
-gain (ties to the lower index) and recording it. The gain trace g^0, g^1,
-... decays, and the relative drop (g^t - g^(t+1)) / g^t spikes when the
-selection crosses from topic core into junk. The cut point is the earliest
-step whose drop lands within `margin` of the largest drop; members selected
-up to and including that step form the refined topic.
+gain, lam * pi_p less one cross term pi_p * sum_{i in P} pi_i (D_ip + D_pi)
+kept as a running sum (ties to the lower index), and recording it. The gain
+trace g^0, g^1, ... decays, and the relative drop (g^t - g^(t+1)) / g^t
+spikes when the selection crosses from topic core into junk. The cut point
+is the earliest step whose drop lands within `margin` of the largest drop;
+members selected up to and including that step form the refined topic.
 """
 
 from __future__ import annotations
@@ -133,33 +134,26 @@ def greedy_stack(
     """Full greedy passes over a (T, m) score stack and its (T, m, m)
     dissimilarities: selection order and gains, both (T, m), relative drops
     (T, m - 1) and the count of defined drops per topic. Row t's drops are
-    deltas[t, :lengths[t]], up to its first non-positive gain.
+    deltas[t, :lengths[t]], up to its first non-positive gain. A member's
+    cross term is one running sum, fed by D's row and column j once j is chosen.
     """
     count, m = pi.shape
     if m == 0:
         raise InputError("cannot refine an empty topic")
     if not 0.0 < lam < np.inf:
         raise InputError(f"lam must be positive and finite, got {lam}")
-    # Cross terms against the selection, kept incrementally: O(T * m) a step.
-    # Topic t's entry j sits at flat position t * m + j (rows/columns of D).
-    base = np.arange(count) * m
-    flat_pi, d_rows = pi.reshape(-1), d.reshape(count * m, m)
-    d_cols = d.transpose(0, 2, 1).reshape(count * m, m)
-    row_acc = np.zeros((count, m))  # sum_{i in P} pi_i * D_ip
-    col_acc = np.zeros((count, m))  # sum_{j in P} D_pj * pi_j
+    topics = np.arange(count)
+    cross = np.zeros((count, m))  # sum_{i in P} pi_i * (D_ip + D_pi)
     selected = np.zeros((count, m), dtype=bool)
     order, gains = np.empty((count, m), dtype=np.int64), np.empty((count, m))
-    current = lam * pi - pi * (row_acc + col_acc)
-    for step in range(m):
+    current = lam * pi - pi * cross
+    for step in range(m):  # O(T * m) a step
         masked = np.where(selected, -np.inf, current)
         j = masked.argmax(axis=-1)  # first max wins: lower index on ties
-        k = base + j
-        order[:, step], gains[:, step] = j, masked.reshape(-1)[k]
-        selected.reshape(-1)[k] = True
-        pj = flat_pi[k][:, None]
-        row_acc += pj * d_rows[k]
-        col_acc += d_cols[k] * pj
-        current = lam * pi - pi * (row_acc + col_acc)
+        order[:, step], gains[:, step] = j, masked[topics, j]
+        selected[topics, j] = True
+        cross += pi[topics, j][:, None] * (d[topics, j] + d[topics, :, j])
+        current = lam * pi - pi * cross
     with np.errstate(divide="ignore", invalid="ignore"):
         deltas = (gains[:, :-1] - gains[:, 1:]) / gains[:, :-1]
     # The trace is meaningless from the first non-positive gain on.

@@ -773,6 +773,55 @@ def test_knn_graph_matches_dense_reference(kernel, case, sigma2):
     same_csr((got.indptr, got.indices, got.data), reference_knn_sparsify(expected, k))
 
 
+@pytest.mark.parametrize("kernel", [False, True], ids=["raw", "kernel"])
+@given(case=tie_heavy_matrices(), slack=st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_knn_graph_of_rows_within_k_is_the_matrix(kernel, case, slack):
+    values, _ = case
+    n = len(values)
+    matrix, expected = SimilarityMatrix(values), values
+    if kernel:
+        matrix = gaussian_affinity(matrix, sigma2=0.3)
+        expected = reference_gaussian_affinity(values, sigma2=0.3)
+    k = min(max(int(np.diff(matrix.indptr).max()), 1) + slack, n - 1)  # at or above every degree
+    got = knn_sparsify(matrix, k, kind="txt")
+    same_csr((got.indptr, got.indices, got.data), reference_knn_sparsify(expected, k))
+    assert got.data is matrix.data and got.kind == "txt"
+
+
+@st.composite
+def nearly_symmetric_arrays(draw):
+    """Tie-heavy symmetric arrays whose lower triangle is nudged by up to
+    9e-10, as a float computation may leave it: entries within [0, 1] move,
+    and an entry may appear or vanish on one side only."""
+    values, k = draw(tie_heavy_matrices())
+    n = len(values)
+    nudges = draw(st.lists(st.sampled_from([0.0, 0.0, 5e-10, -5e-10, 9e-10]), min_size=n * n, max_size=n * n))
+    return np.clip(values + np.tril(np.reshape(nudges, (n, n)), -1), 0.0, 1.0), k
+
+
+def _nudged_example():
+    values = np.triu(np.random.default_rng(0).uniform(0.05, 1.0, (8, 8)), 1)
+    values += values.T
+    values[1, 0] += 5e-10
+    return values, 6
+
+
+@given(case=nearly_symmetric_arrays())
+@example(case=_nudged_example())
+@settings(max_examples=200, deadline=None)
+def test_a_matrix_and_its_saved_file_are_one_matrix(tmp_path_factory, case):
+    values, k = case
+    matrix = SimilarityMatrix(values)
+    path = tmp_path_factory.mktemp("round") / "m.sim"
+    save_similarity(matrix, path)
+    loaded = load_similarity(path)
+    graphs = knn_sparsify(matrix, k), knn_sparsify(loaded, k)
+    for got, want in ((matrix, loaded), graphs):
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, part), getattr(want, part)), part
+
+
 def test_kernel_underflow_drops_the_pair():
     # exp(-1000) underflows to 0: that pair has no affinity, as in the
     # dense kernel, and the input keeps its entries
@@ -957,6 +1006,8 @@ def reference_checked(matrix, what, tol):
         raise InputError(f"{what} contains a non-finite entry")
     if np.any(np.abs((csr - csr.T).data) > tol):
         raise InputError(f"{what} is not symmetric within {tol:g}")
+    csr = (sp.triu(csr) + sp.triu(csr, 1).T).tocsr()  # the upper triangle, as a saved file holds it
+    csr.sort_indices()
     if np.any((csr.data < 0.0) | (csr.data > 1.0)):
         raise InputError(f"{what} values must lie in [0, 1]")
     if csr.diagonal().any():

@@ -319,6 +319,62 @@ def test_fit_matches_pair_enumerating_reference(instance, max_iter, tol):
         assert np.array_equal(estimate_weights(g, cands, max_iter=max_iter, tol=tol), expected[-1])
 
 
+def spare_update_fit(g, candidates, max_iter, tol):
+    """estimate_weights as it stood: up to max_iter + 1 updates, and a fit
+    that took the spare one raised. Returns the weights, or None where it
+    raised, and every iterate from the starting guess on."""
+    cov = _Coverage(g, candidates)
+    mu = np.full(len(cov.pair_counts), cov.mu0)
+    mu[cov.pair_counts == 0] = 0.0
+    counts = np.maximum(cov.pair_counts, 1.0)
+    iterates = [mu]
+    for _ in range(max_iter + 1):
+        ratio = cov.a / np.maximum(cov.mean(mu), MEAN_GUARD)
+        mu_new = mu * cov.numerator(ratio) / counts
+        change = np.max(np.abs(mu_new - mu) / np.maximum(mu, MEAN_GUARD))
+        mu = mu_new
+        iterates.append(mu.copy())
+        if change < tol:
+            break
+    return (None if len(iterates) > max_iter + 1 else iterates[-1]), iterates
+
+
+def drain(steps):
+    """The iterates a fit yields, and the verdict it returns."""
+    iterates = []
+    try:
+        while True:
+            iterates.append(next(steps))
+    except StopIteration as stop:
+        return iterates, stop.value
+
+
+@settings(max_examples=300, deadline=None)
+@given(COVERAGE_INSTANCES, st.integers(1, 60), st.sampled_from([1e-3, 1e-6, 1e-9]))
+@class_examples(60, 1e-9)
+def test_fit_stops_where_the_spare_update_rule_stops(instance, max_iter, tol):
+    g, cands = instance
+    try:
+        want, iterates = spare_update_fit(g, cands, max_iter, tol)
+    except InputError:
+        with pytest.raises(InputError):
+            estimate_weights(g, cands, max_iter=max_iter, tol=tol)
+        return
+    got, verdict = drain(iterate_weights(g, cands, max_iter=max_iter, tol=tol))
+    assert len(got) == min(len(iterates) - 1, max_iter)
+    for mu, ref in zip(got, iterates[1:]):
+        assert mu.tobytes() == ref.tobytes()
+    if want is None:
+        previous = iterates[max_iter - 1]
+        change = np.abs(got[-1] - previous) / np.maximum(previous, MEAN_GUARD)
+        assert verdict.tobytes() == change.tobytes()
+        with pytest.raises(ConvergenceError):
+            estimate_weights(g, cands, max_iter=max_iter, tol=tol)
+    else:
+        assert verdict is None
+        assert estimate_weights(g, cands, max_iter=max_iter, tol=tol).tobytes() == want.tobytes()
+
+
 def reference_coverage(g, candidates):
     """The scipy coverage build that the one-sort build replaced: np.unique
     over the concatenated pair keys, a lookup in the adjacency matrix, and
@@ -605,7 +661,7 @@ def test_convergence_error_names_the_slowest_candidate():
     assert message.startswith(
         "weight estimation did not converge within 500 iterations (tol=1e-06)"
     )
-    change = (steps[499][1] - steps[500][1]) / steps[499][1]
+    change = (steps[498][1] - steps[499][1]) / steps[498][1]
     assert (
         f"candidate 1 (size 2, weight {steps[499][1]:.3g}, "
         f"last relative change {change:.3g})"

@@ -23,7 +23,7 @@ from hotmine.interestingness import (
     transition_stack,
 )
 from hotmine.pipeline import DetectedTopic, PipelineConfig, run_br
-from hotmine.refining import RefinedTopic, apply_cut, cut_stack, dissimilarity_stack, greedy_stack
+from hotmine.refining import RefinedTopic, apply_cut, cut_stack, dissimilarity_stack, greedy_stack, marginal_gain
 
 # ------------------------------------------------------------ reference
 
@@ -215,6 +215,86 @@ def test_stacked_refine_matches_per_topic_reference(case, max_iter, margin, lam)
             assert np.array_equal(gains[t], ref_gains)
             assert np.array_equal(deltas[t, : lengths[t]], ref_deltas)
             assert cuts[t] == reference_cut_point(ref_deltas, config.margin)
+
+
+# ------------------------------------------------------------ greedy stack
+
+
+def reference_greedy_stack(pi, d, lam):
+    """greedy_stack as it stood with two cross sums, one fed by rows of D
+    and one by a transposed (T, m, m) copy of D."""
+    count, m = pi.shape
+    base = np.arange(count) * m
+    flat_pi, d_rows = pi.reshape(-1), d.reshape(count * m, m)
+    d_cols = d.transpose(0, 2, 1).reshape(count * m, m)
+    row_acc, col_acc = np.zeros((count, m)), np.zeros((count, m))
+    selected = np.zeros((count, m), dtype=bool)
+    order, gains = np.empty((count, m), dtype=np.int64), np.empty((count, m))
+    current = lam * pi - pi * (row_acc + col_acc)
+    for step in range(m):
+        masked = np.where(selected, -np.inf, current)
+        j = masked.argmax(axis=-1)
+        k = base + j
+        order[:, step], gains[:, step] = j, masked.reshape(-1)[k]
+        selected.reshape(-1)[k] = True
+        pj = flat_pi[k][:, None]
+        row_acc += pj * d_rows[k]
+        col_acc += d_cols[k] * pj
+        current = lam * pi - pi * (row_acc + col_acc)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        deltas = (gains[:, :-1] - gains[:, 1:]) / gains[:, :-1]
+    stop = gains <= 0.0
+    stop[:, -1] = True
+    return order, gains, deltas, stop.argmax(axis=-1)
+
+
+@st.composite
+def greedy_instances(draw, symmetric):
+    """Scores and similarity weights for a stack of T topics of m members,
+    m = 1 and 2 among them; the weights are mirrored when symmetric."""
+    count = draw(st.integers(1, 5))
+    m = draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, 9)))
+    weights = np.reshape(draw(st.lists(WEIGHTS, min_size=count * m * m, max_size=count * m * m)), (count, m, m))
+    if symmetric:
+        weights = np.triu(weights, 1)
+        weights += weights.transpose(0, 2, 1)
+    scores = draw(st.lists(st.floats(0.01, 1.0), min_size=count * m, max_size=count * m))
+    pi = np.reshape(scores, (count, m))
+    return pi / pi.sum(axis=1, keepdims=True), weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=greedy_instances(symmetric=True),
+    bandwidth=st.sampled_from([0.5, 10.0]),
+    lam=st.sampled_from([0.3, 2.0]),
+)
+def test_greedy_stack_on_symmetric_dissimilarity_matches_two_sums(case, bandwidth, lam):
+    pi, weights = case
+    d = dissimilarity_stack(weights, bandwidth)
+    got, want = greedy_stack(pi, d, lam), reference_greedy_stack(pi, d, lam)
+    for part, array, expected in zip(("order", "gains", "deltas", "lengths"), got, want):
+        assert array.tobytes() == expected.tobytes(), part
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=greedy_instances(symmetric=False),
+    bandwidth=st.sampled_from([0.5, 10.0]),
+    lam=st.sampled_from([0.3, 2.0]),
+)
+def test_greedy_stack_on_asymmetric_dissimilarity_takes_the_best_marginal_gain(case, bandwidth, lam):
+    pi, weights = case
+    d = dissimilarity_stack(weights, bandwidth)
+    order, gains, _, _ = greedy_stack(pi, d, lam)
+    for t in range(len(pi)):
+        chosen: list[int] = []
+        for step, p in enumerate(order[t].tolist()):
+            rest = [q for q in range(pi.shape[1]) if q not in chosen]
+            best = max(marginal_gain(q, chosen, pi[t], d[t], lam) for q in rest)
+            assert gains[t, step] == pytest.approx(marginal_gain(p, chosen, pi[t], d[t], lam), abs=1e-12)
+            assert gains[t, step] >= best - 1e-12
+            chosen.append(p)
 
 
 # drops from a short pool tie often; 0.0 and one-entry traces are common
