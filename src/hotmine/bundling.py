@@ -46,7 +46,7 @@ def bundle(
 ) -> list[CoarseTopic]:
     """Bundle a ranked candidate list into coarse topics (window = 0 merges
     nothing and passes every candidate through as its own topic)."""
-    check_int("window", window, 0)
+    window = check_int("window", window, 0)
     if not (0.0 < tau <= 1.0):
         raise InputError(f"tau must lie in (0, 1], got {tau}")
     items = ranked.items

@@ -1,4 +1,9 @@
-"""Exception types shared across the pipeline, and the stages' int check."""
+"""Exception types shared across the pipeline, and the one int rule that every
+int parameter goes through: a Python or numpy int, never a bool or a float."""
+
+from operator import index
+
+import numpy as np
 
 
 class HotmineError(Exception):
@@ -13,7 +18,10 @@ class ConvergenceError(HotmineError, RuntimeError):
     """An iterative solver failed to converge (CLI exit code 2)."""
 
 
-def check_int(name: str, value: object, least: int) -> None:
-    """Refuse a value that is not an int >= least; a bool is no int here."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise InputError(f"{name} must be an int >= {least}, got {value!r}")
+def check_int(name: str, value: object, least: int) -> int:
+    """value as a Python int, refused unless it is an int >= least."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise InputError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise InputError(f"{name} must be >= {least}, got {value!r}")
+    return index(value)

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .candidates import index_set, load_candidates
-from .errors import InputError
+from .errors import InputError, check_int
 
 NIR_SUCCESS_THRESHOLD = 0.5
 TOP_K = 10
@@ -151,8 +151,8 @@ def evaluate(
     ranked_detections: Sequence, truth: GroundTruth, max_fppt: int | None = None
 ) -> EvaluationReport:
     """Bundle both curves into a report; each detection becomes a set once."""
-    if max_fppt is not None and max_fppt < 0:
-        raise InputError("max_fppt must be >= 0")
+    if max_fppt is not None:
+        max_fppt = check_int("max_fppt", max_fppt, 0)
     detections = list(map(_as_set, ranked_detections))
     return EvaluationReport(
         top10_f1_curve=tuple(_top10_f1_vs_ndt(detections, truth)),

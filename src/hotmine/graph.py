@@ -147,8 +147,8 @@ class SimilarityMatrix(_SymmetricCSR):
 class SimilarityGraph(_SymmetricCSR):
     """Sparse undirected webpage graph with weights in [0, 1].
 
-    kind records provenance ("visual", "textual" or "mixed") and is carried
-    through mixing so downstream stages can label their reports.
+    kind names what it was built from ("vis", "txt" or "mixed"); it is a
+    label for callers, and no stage reads it.
     """
 
     _what, _tol = "graph", 0.0
@@ -203,7 +203,7 @@ def knn_sparsify(affinity: SimilarityMatrix, k: int, kind: str = "mixed") -> Sim
     more than k entries, the graph shares the matrix's arrays.
     """
     n = affinity.n
-    check_int("k", k, 1)
+    k = check_int("k", k, 1)
     if k >= n:
         raise InputError(f"k must satisfy 1 <= k < n (n={n}), got {k}")
     a = affinity

@@ -143,7 +143,7 @@ def pagerank_stack(
         raise InputError(f"alpha must lie in [0, 1), got {alpha}")
     if not 0.0 < tol < np.inf:
         raise InputError(f"tol must be positive and finite, got {tol}")
-    check_int("max_iter", max_iter, 1)
+    max_iter = check_int("max_iter", max_iter, 1)
     count, m = p.shape[0], p.shape[-1]
     if m == 0:
         raise InputError("empty transition matrix")

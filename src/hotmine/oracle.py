@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_int
 from .refining import dissimilarity_stack, goodness, marginal_gain
 
 BRUTE_FORCE_LIMIT = 20
@@ -36,7 +36,8 @@ def brute_force_subset(
         raise InputError(
             f"brute force is capped at {BRUTE_FORCE_LIMIT} members, got {n}"
         )
-    if not (0 <= k <= n):
+    k = check_int("k", k, 0)
+    if k > n:
         raise InputError(f"subset size must satisfy 0 <= k <= n, got {k}")
     if k == 0:
         return (), 0.0
@@ -92,20 +93,18 @@ def sample_instance(
     return pi, d
 
 
-def _instance(pi: np.ndarray, d, trials: int, need: str) -> tuple[np.ndarray, np.ndarray, int]:
+def _instance(pi: np.ndarray, d, trials: int, need: str) -> tuple[np.ndarray, np.ndarray, int, int]:
     pi = np.asarray(pi, dtype=float)
     if len(pi) < 2:
         raise InputError(f"need at least two members to {need}")
-    if trials < 1:
-        raise InputError("trials must be >= 1")
-    return pi, np.asarray(d, dtype=float), len(pi)
+    return pi, np.asarray(d, dtype=float), len(pi), check_int("trials", trials, 1)
 
 
 def _probe(
     name: str, trials: int, seed: int, slack: Callable[[np.random.Generator], float]
 ) -> PropertyReport:
     """Draw slack(rng) trials times; slack below -1e-12 is a violation."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     slacks = [slack(rng) for _ in range(trials)]
     violations = sum(value < SLACK_TOL for value in slacks)
     return PropertyReport(
@@ -129,7 +128,7 @@ def check_submodularity(
     Slack below -1e-12 counts as a violation; the report carries the worst
     slack seen so a failure is reproducible and quantified.
     """
-    pi, dm, n = _instance(pi, d, trials, "nest subsets")
+    pi, dm, n, trials = _instance(pi, d, trials, "nest subsets")
 
     def slack(rng: np.random.Generator) -> float:
         x = int(rng.integers(n))
@@ -156,7 +155,7 @@ def check_monotonicity(
     regime where the property provably holds, but smaller lam is accepted
     so the check can demonstrate where the property breaks.
     """
-    pi, dm, n = _instance(pi, d, trials, "split")
+    pi, dm, n, trials = _instance(pi, d, trials, "split")
     total = float(dm.sum())
     if abs(total - 1.0) > 1e-8:
         raise InputError(

@@ -38,7 +38,7 @@ import numpy as np
 from . import bundling, interestingness, ranking, refining
 from .bundling import CoarseTopic, bundle, nms_dedupe
 from .candidates import TopicCandidate, checked_thresholds, save_candidates
-from .errors import InputError
+from .errors import InputError, check_int
 from .evaluation import EvaluationReport, GroundTruth, evaluate, write_curves
 from .graph import (
     SimilarityGraph, SimilarityMatrix, gaussian_affinity, knn_sparsify, load_similarity, mix_graphs
@@ -90,10 +90,8 @@ class PipelineConfig:
                 got = json.dumps(value, default=repr)
                 raise InputError(f"config key {field.name} must be {expected}, got {got}")
         object.__setattr__(self, "cascade_thresholds", checked_thresholds(self.cascade_thresholds))
-        if self.knn_txt < 1 or self.knn_vis < 1:
-            raise InputError("knn_txt and knn_vis must be >= 1")
-        if self.window < 0:
-            raise InputError("window must be >= 0")
+        for name in ("knn_txt", "knn_vis", "window", "pd_max_iter", "pr_max_iter", "seed"):
+            check_int(name, getattr(self, name), 0 if name in ("window", "seed") else 1)
         if not (0.0 < self.tau <= 1.0):
             raise InputError(f"tau must lie in (0, 1], got {self.tau}")
         if not (0.0 < self.nms_thresh < 1.0):
@@ -104,14 +102,10 @@ class PipelineConfig:
             raise InputError("sigma_dissim and lam must be positive and finite")
         if not 0.0 <= self.margin < inf:
             raise InputError(f"margin must be >= 0 and finite, got {self.margin}")
-        if self.pd_max_iter < 1 or self.pr_max_iter < 1:
-            raise InputError("iteration caps must be >= 1")
         if not (0.0 < self.pd_tol < inf and 0.0 < self.pr_tol < inf):
             raise InputError("tolerances must be positive and finite")
         if self.sigma2_affinity is not None and not 0.0 < self.sigma2_affinity < inf:
             raise InputError(f"sigma2_affinity must be positive and finite, got {self.sigma2_affinity}")
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "cascade_thresholds": list(self.cascade_thresholds)}

@@ -224,7 +224,7 @@ def iterate_weights(
     the relative change of each coordinate in the last update instead:
     raising on non-convergence is the caller's business.
     """
-    check_int("max_iter", max_iter, 1)
+    max_iter = check_int("max_iter", max_iter, 1)
     if not 0.0 < tol < np.inf:
         raise InputError(f"tol must be positive and finite, got {tol}")
     cov = _Coverage(g, candidates)

@@ -17,14 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from math import inf
-from operator import index
 
 import numpy as np
 
 from .candidates import TopicCandidate
-from .errors import InputError
+from .errors import InputError, check_int
 from .evaluation import GroundTruth
 from .graph import SimilarityMatrix
+
+
+_LEAST = {"n_webpages": 1, "fragments_per_topic": 1, "noise_cluster_size": 1}
 
 
 @dataclass(frozen=True)
@@ -55,32 +57,23 @@ class SyntheticScenario:
         return sum(self.topic_sizes)
 
     def __post_init__(self) -> None:
-        # integer fields through operator.index: 10.7 is refused, not truncated;
-        # a float field takes an int or a float, never a bool
+        # 10.7 and True are refused, not read as 10 and 1; a float takes no bool
         for field in fields(self):
-            value, many = getattr(self, field.name), field.type == "tuple[int, ...]"
+            value = getattr(self, field.name)
             if field.type == "float":
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise InputError(f"{field.name} must be a number, got {value!r}")
-                continue
-            try:
-                object.__setattr__(self, field.name, tuple(map(index, value)) if many else index(value))
-            except TypeError as exc:
-                kind = "a list of ints" if many else "an int"
-                raise InputError(f"{field.name} must be {kind}, got {value!r}") from exc
-        if self.n_webpages < 1:
-            raise InputError("scenario needs at least one webpage")
-        if not self.topic_sizes or any(s < 1 for s in self.topic_sizes):
-            raise InputError("every planted topic needs at least one page")
+            elif field.type == "int":
+                object.__setattr__(self, field.name, check_int(field.name, value, _LEAST.get(field.name, 0)))
+        if not isinstance(self.topic_sizes, (list, tuple)) or not self.topic_sizes:
+            raise InputError(f"topic_sizes must be a non-empty list of ints, got {self.topic_sizes!r}")
+        sizes = tuple(check_int(f"topic_sizes[{i}]", s, 1) for i, s in enumerate(self.topic_sizes))
+        object.__setattr__(self, "topic_sizes", sizes)
         if self.planted_total > self.n_webpages:
             raise InputError(
                 f"infeasible scenario: {self.planted_total} planted pages "
                 f"exceed n = {self.n_webpages}"
             )
-        if self.fragments_per_topic < 1:
-            raise InputError("fragments_per_topic must be >= 1")
-        if self.fragment_drop < 0 or self.fragment_noise < 0:
-            raise InputError("fragment_drop and fragment_noise must be >= 0")
         if not 0.0 < self.noise_similarity < self.intra_similarity <= 1.0:
             raise InputError(
                 "need 0 < noise_similarity < intra_similarity <= 1, got "
@@ -88,8 +81,6 @@ class SyntheticScenario:
             )
         if not 0.0 <= self.jitter < inf:
             raise InputError("jitter must be finite and >= 0")
-        if self.noise_cluster_count < 0 or self.noise_cluster_size < 1:
-            raise InputError("bad noise cluster shape")
         noise_needed = (
             len(self.topic_sizes) * self.fragments_per_topic * self.fragment_noise
             + self.noise_cluster_count * self.noise_cluster_size
@@ -167,9 +158,7 @@ _BAND = 512
 
 def generate_synthetic(scenario: SyntheticScenario, seed: int = 0) -> SyntheticData:
     """Build the corpus deterministically from the seed."""
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     offsets = np.cumsum((0,) + scenario.topic_sizes)
     topics = [
         list(range(int(lo), int(hi))) for lo, hi in zip(offsets[:-1], offsets[1:])

@@ -309,7 +309,7 @@ def test_accuracy_at_takes_best_within_budget():
 def test_evaluate_refuses_a_negative_fppt_budget(max_fppt):
     # an empty curve would read accuracy 0.0 at every budget
     detections, truth = staircase_case()
-    with pytest.raises(InputError, match="^max_fppt must be >= 0$"):
+    with pytest.raises(InputError, match=f"^max_fppt must be >= 0, got {max_fppt}$"):
         evaluate(detections, truth, max_fppt=max_fppt)
     assert evaluate(detections, truth, max_fppt=0).accuracy_fppt_curve == ((0, pytest.approx(1.0 / 3.0)),)
 
@@ -463,7 +463,7 @@ def test_curves_match_the_reference_walk(case):
     detections, truth, max_fppt = case
     if max_fppt is not None and max_fppt < 0:
         # the reference gives an empty accuracy curve here; evaluate refuses
-        with pytest.raises(InputError, match="^max_fppt must be >= 0$"):
+        with pytest.raises(InputError, match=f"^max_fppt must be >= 0, got {max_fppt}$"):
             evaluate(detections, truth, max_fppt=max_fppt)
         return
     want_f1 = reference_top10_f1_vs_ndt(detections, truth, max(len(detections), TOP_K))

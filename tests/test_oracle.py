@@ -92,7 +92,8 @@ def test_brute_force_size_guard():
 @pytest.mark.parametrize("k", [-1, 4])
 def test_brute_force_subset_size_range(k):
     pi, d = flat_instance()
-    with pytest.raises(InputError, match="0 <= k <= n"):
+    msg = "^k must be >= 0, got -1$" if k < 0 else "^subset size must satisfy 0 <= k <= n, got 4$"
+    with pytest.raises(InputError, match=msg):
         brute_force_subset(pi, d, lam=2.0, k=k)
 
 

@@ -82,7 +82,8 @@ def test_config_defaults():
 
 @pytest.mark.parametrize("kwargs,msg", [
     (dict(knn_txt=0), "knn_txt"),
-    (dict(knn_vis=-1), "knn_txt and knn_vis"),
+    # ids pinned to the earlier wording, so the test names do not move
+    pytest.param(dict(knn_vis=-1), "^knn_vis must be >= 1, got -1$", id="kwargs1-knn_txt and knn_vis"),
     (dict(window=-2), "window"),
     (dict(tau=0.0), "tau"),
     (dict(tau=1.5), "tau"),
@@ -91,8 +92,8 @@ def test_config_defaults():
     (dict(sigma_dissim=0.0), "positive"),
     (dict(lam=-1.0), "positive"),
     (dict(margin=-0.5), "margin"),
-    (dict(pd_max_iter=0), "iteration caps"),
-    (dict(pr_max_iter=0), "iteration caps"),
+    pytest.param(dict(pd_max_iter=0), "^pd_max_iter must be >= 1, got 0$", id="kwargs10-iteration caps"),
+    pytest.param(dict(pr_max_iter=0), "^pr_max_iter must be >= 1, got 0$", id="kwargs11-iteration caps"),
     (dict(pd_tol=0.0), "tolerances"),
     (dict(pr_tol=-1e-9), "tolerances"),
     (dict(lam=float("nan")), "positive"),

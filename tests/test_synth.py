@@ -29,9 +29,13 @@ def test_scenario_counts():
 
 
 @pytest.mark.parametrize("kwargs,msg", [
-    (dict(n_webpages=0, topic_sizes=(5,)), "at least one webpage"),
-    (dict(n_webpages=10, topic_sizes=()), "at least one page"),
-    (dict(n_webpages=10, topic_sizes=(5, 0)), "at least one page"),
+    # ids pinned to the earlier wording, so the test names do not move
+    pytest.param(dict(n_webpages=0, topic_sizes=(5,)), "^n_webpages must be >= 1, got 0$",
+                 id="kwargs0-at least one webpage"),
+    pytest.param(dict(n_webpages=10, topic_sizes=()), r"^topic_sizes must be a non-empty list of ints, got \(\)$",
+                 id="kwargs1-at least one page"),
+    pytest.param(dict(n_webpages=10, topic_sizes=(5, 0)), r"^topic_sizes\[1\] must be >= 1, got 0$",
+                 id="kwargs2-at least one page"),
     (dict(n_webpages=10, topic_sizes=(6, 6)), "planted pages exceed"),
     (dict(n_webpages=10, topic_sizes=(5,), fragments_per_topic=0),
      "fragments_per_topic"),
@@ -44,10 +48,10 @@ def test_scenario_counts():
     (dict(n_webpages=10, topic_sizes=(5,), noise_similarity=0.9),
      "noise_similarity < intra_similarity"),
     (dict(n_webpages=10, topic_sizes=(5,), jitter=-0.1), "jitter"),
-    (dict(n_webpages=10, topic_sizes=(5,), noise_cluster_count=-1),
-     "noise cluster"),
-    (dict(n_webpages=10, topic_sizes=(5,), noise_cluster_size=0),
-     "noise cluster"),
+    pytest.param(dict(n_webpages=10, topic_sizes=(5,), noise_cluster_count=-1),
+                 "^noise_cluster_count must be >= 0, got -1$", id="kwargs11-noise cluster"),
+    pytest.param(dict(n_webpages=10, topic_sizes=(5,), noise_cluster_size=0),
+                 "^noise_cluster_size must be >= 1, got 0$", id="kwargs12-noise cluster"),
     (dict(n_webpages=20, topic_sizes=(10,), fragments_per_topic=2,
           fragment_noise=3, noise_cluster_count=1, noise_cluster_size=5),
      "only 10 available"),
@@ -58,8 +62,11 @@ def test_scenario_validation(kwargs, msg):
 
 
 @pytest.mark.parametrize("kwargs,msg", [
-    (dict(topic_sizes=(10.7, 10.2)), r"^topic_sizes must be a list of ints, got \(10.7, 10.2\)$"),
-    (dict(topic_sizes=10), "^topic_sizes must be a list of ints, got 10$"),
+    # ids pinned to the earlier wording, so the test names do not move
+    pytest.param(dict(topic_sizes=(10.7, 10.2)), r"^topic_sizes\[0\] must be an int, got 10.7$",
+                 id=r"kwargs0-^topic_sizes must be a list of ints, got \(10.7, 10.2\)$"),
+    pytest.param(dict(topic_sizes=10), "^topic_sizes must be a non-empty list of ints, got 10$",
+                 id="kwargs1-^topic_sizes must be a list of ints, got 10$"),
     (dict(n_webpages=60.0), "^n_webpages must be an int, got 60.0$"),
     (dict(fragments_per_topic=2.5), "^fragments_per_topic must be an int, got 2.5$"),
     (dict(fragment_drop=1.5), "^fragment_drop must be an int, got 1.5$"),
