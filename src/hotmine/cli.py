@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .candidates import cascade_candidates, load_candidates, save_candidates
-from .errors import ConvergenceError, InputError
+from .errors import ConvergenceError, InputError, check_int
 from .evaluation import EvaluationReport, evaluate, load_ground_truth, write_curves
 from .graph import load_graph, save_similarity
 from .oracle import check_monotonicity, check_submodularity, sample_instance
@@ -98,12 +98,15 @@ def _list_of(kind: type):
     return parse
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse type for an int >= 0."""
-    with contextlib.suppress(ValueError):
-        if int(text) >= 0:
-            return int(text)
-    raise argparse.ArgumentTypeError(f"must be a non-negative int, got {text!r}")
+def _int_at_least(least: int):
+    """argparse type for an int >= least, as errors.check_int rules it."""
+
+    def parse(text: str) -> int:
+        with contextlib.suppress(ValueError):  # InputError is a ValueError
+            return check_int("value", int(text), least)
+        raise argparse.ArgumentTypeError(f"must be an int >= {least}, got {text!r}")
+
+    return parse
 
 
 # synth flags not spelled as their SyntheticScenario field
@@ -140,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tail.add_argument("--truth", help="optional ground-truth file")
     tail.add_argument("--out-prefix", required=True)
     tail.add_argument("--stop-after", choices=STAGES, default="refine")
-    tail.add_argument("--max-fppt", type=_non_negative_int, default=None)
+    tail.add_argument("--max-fppt", type=_int_at_least(0), default=None)
 
     p = sub.add_parser("synth", parents=[config], help="generate a synthetic corpus")
     p.add_argument("--n", dest="n_webpages", type=int, required=True, help="total webpage count")
@@ -181,14 +184,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True)
     p.add_argument("--n", type=int, required=True, help="total webpage count")
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--max-fppt", type=_non_negative_int, default=None)
+    p.add_argument("--max-fppt", type=_int_at_least(0), default=None)
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("oracle", help="run property checks on random instances")
     p.add_argument("--trials", type=int, default=1000, help="trials per check")
-    p.add_argument("--nodes", type=_non_negative_int, default=8, help="instance size")
-    p.add_argument("--instances", type=int, default=5)
-    p.add_argument("--oracle-seed", type=_non_negative_int, default=0)
+    p.add_argument("--nodes", type=_int_at_least(2), default=8, help="instance size")
+    p.add_argument("--instances", type=_int_at_least(1), default=5)
+    p.add_argument("--oracle-seed", type=_int_at_least(0), default=0)
     p.set_defaults(handler=_cmd_oracle)
     return parser
 
@@ -303,8 +306,6 @@ def _cmd_eval(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace, config: PipelineConfig) -> int:
-    if args.instances < 1:
-        raise InputError("need at least one instance")
     rng = np.random.default_rng(args.oracle_seed)
     reports = []
     for seed in range(args.oracle_seed, args.oracle_seed + args.instances):

@@ -109,13 +109,18 @@ def transition_stack(weights: np.ndarray) -> np.ndarray:
     """Row-normalize a (T, m, m) similarity stack into stochastic matrices.
 
     A node with no positive outgoing weight gets a uniform row, the usual
-    dangling-node fix, so every row sums to one exactly.
+    dangling-node fix, so every row sums to one exactly. The result is a
+    view laid out as the transposes: its .transpose(0, 2, 1) is a
+    C-contiguous stack, the P^T that pagerank_stack multiplies, so that
+    needs no copy of its own.
     """
     if np.any(weights < 0.0):
         raise InputError("reconstructed similarity has a negative weight")
-    degrees = weights.sum(axis=-1, keepdims=True)
-    uniform = np.full(weights.shape, 1.0 / weights.shape[-1])
-    return np.divide(weights, degrees, out=uniform, where=degrees > 0.0)
+    degrees = weights.sum(axis=-1, keepdims=True).transpose(0, 2, 1)
+    # strided reads, contiguous writes: P^T[t, j, i] = w[t, i, j] / deg[t, i]
+    pt = np.full(weights.shape, 1.0 / weights.shape[-1])
+    np.divide(weights.transpose(0, 2, 1), degrees, out=pt, where=degrees > 0.0)
+    return pt.transpose(0, 2, 1)
 
 
 def transition_matrix(tg: TopicGraph) -> np.ndarray:
@@ -147,27 +152,29 @@ def pagerank_stack(
     count, m = p.shape[0], p.shape[-1]
     if m == 0:
         raise InputError("empty transition matrix")
-    if np.any(p < 0.0):
+    if p.min(initial=0.0) < 0.0:  # no (T, m, m) mask beside p
         raise InputError("transition matrix has a negative entry")
     off = np.abs(p.sum(axis=-1) - 1.0)
     if np.max(off) > _ROW_SUM_TOL:
         bad = int(np.argmax(off)) % m
         raise InputError(f"row {bad} of the transition matrix does not sum to 1")
 
-    # pi <- alpha * P^T pi + (1 - alpha)/m from the uniform vector, on live rows
-    # only. Stacked matmul runs the gemv of a lone pt @ x, so the bits match.
+    # pi <- alpha * P^T pi + (1 - alpha)/m from the uniform vector. Stacked
+    # matmul runs the gemv of a lone pt @ x, so the bits match. P^T is a view
+    # when p comes from transition_stack, and finished rows keep iterating
+    # rather than be dropped from a copy of it.
     x, iterations = np.full((count, m), 1.0 / m), np.zeros(count, dtype=np.int64)
     jump = (1.0 - alpha) / m
-    live, cur, pt = np.arange(count), x, p.transpose(0, 2, 1).copy()
+    live, cur, pt = np.ones(count, dtype=bool), x, np.ascontiguousarray(p.transpose(0, 2, 1))
     for iteration in range(1, max_iter + 1):
         nxt = alpha * np.matmul(pt, cur[..., None])[..., 0] + jump
-        done = np.abs(nxt - cur).sum(axis=-1) < tol
+        done = live & (np.abs(nxt - cur).sum(axis=-1) < tol)
         cur = nxt
         if done.any():
-            x[live[done]], iterations[live[done]] = nxt[done], iteration
-            if done.all():
+            x[done], iterations[done] = nxt[done], iteration
+            live &= ~done
+            if not live.any():
                 return x, iterations
-            live, cur, pt = live[~done], nxt[~done], pt[~done]
     raise ConvergenceError(
         f"pagerank did not converge within {max_iter} iterations (tol={tol})"
     )

@@ -14,7 +14,9 @@ The driver glues the stages together behind one config object:
    goodness gain, and cut at the sharpest relative drop. Topics are refined
    in stacks of equal size: one vectorized pass per (size, chunk), a few
    Python steps per source candidate, and one record per topic, O(members)
-   to fill; a topic that passes through gets its record and no other;
+   to fill; a topic that passes through gets its record and no other. A
+   stack holds at most two (T, m, m) arrays of at most STACK_FLOATS floats
+   at once;
 4. optionally score the detections against ground truth.
 
 `stop_after` lets callers run the weaker prefixes of the pipeline (rank
@@ -50,7 +52,8 @@ from .refining import cut_stack, dissimilarity_stack, greedy_stack
 STAGES = ("rank", "bundle", "refine")
 
 # Largest (T, m, m) array one refine stack may hold: 8 MiB of floats. A
-# topic above it is refined as a stack of one.
+# stack holds at most two such arrays at once, so refine needs about
+# 2 x 8 MiB beyond its inputs. A topic above it is refined as a stack of one.
 STACK_FLOATS = 2 ** 20
 
 
@@ -293,6 +296,7 @@ def _refine_topics(
             pi, _ = pagerank_stack(transition_stack(w), config.alpha, config.pr_tol, config.pr_max_iter)
             d = dissimilarity_stack(w, config.sigma_dissim)
             order, gains, deltas, lengths = greedy_stack(pi, d, config.lam)
+            del w, d  # so that the next stack starts with none of this one's arrays
             cuts = cut_stack(deltas, lengths, config.margin).tolist()
             picked = np.take_along_axis(nodes, order, axis=1).tolist()
             rows = zip(chunk, picked, cuts, pi.tolist(), gains.tolist(), deltas.tolist(), lengths)
@@ -321,6 +325,8 @@ def run_br(
     """
     if stop_after not in STAGES:
         raise InputError(f"stop_after must be one of {STAGES}, got {stop_after!r}")
+    if max_fppt is not None:
+        max_fppt = check_int("max_fppt", max_fppt, 0)
     weights = estimate_weights(
         graph, candidates, max_iter=config.pd_max_iter, tol=config.pd_tol
     )

@@ -65,7 +65,11 @@ def dissimilarity_stack(weights: np.ndarray, bandwidth: float = DEFAULT_BANDWIDT
     """
     if bandwidth <= 0.0 or not np.isfinite(bandwidth):
         raise InputError(f"bandwidth must be a positive real, got {bandwidth}")
-    values = np.exp(-(weights ** 2) / bandwidth)
+    # the ufuncs of exp(-(w ** 2) / bandwidth), one buffer for all four
+    values = np.square(weights, dtype=float)
+    np.negative(values, out=values)
+    np.divide(values, bandwidth, out=values)
+    np.exp(values, out=values)
     values.reshape(len(values), -1)[:, :: values.shape[-1] + 1] = 0.0
     return values
 

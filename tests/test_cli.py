@@ -441,11 +441,15 @@ def test_wrongly_typed_config_value_exits_one(tmp_path, capsys, value, expected)
     (["frobnicate"], "hotmine: argument command: invalid choice: 'frobnicate'"),
     (["run", "--vis", "v.sim"], "hotmine run: the following arguments are required: --txt"),
     (["--config"], "hotmine: argument --config: expected one argument"),
-    (["oracle", "--nodes", "-3"], "hotmine oracle: argument --nodes: must be a non-negative int, got '-3'"),
+    (["oracle", "--nodes", "-3"], "hotmine oracle: argument --nodes: must be an int >= 2, got '-3'"),
     (
         ["oracle", "--oracle-seed", "-1"],
-        "hotmine oracle: argument --oracle-seed: must be a non-negative int, got '-1'",
+        "hotmine oracle: argument --oracle-seed: must be an int >= 0, got '-1'",
     ),
+    # 0 and 1 nodes passed the parser and failed only once the checks ran
+    (["oracle", "--nodes", "0"], "hotmine oracle: argument --nodes: must be an int >= 2, got '0'"),
+    (["oracle", "--nodes", "1"], "hotmine oracle: argument --nodes: must be an int >= 2, got '1'"),
+    (["oracle", "--instances", "1.5"], "hotmine oracle: argument --instances: must be an int >= 1, got '1.5'"),
 ])
 def test_usage_error_exits_one_with_one_line(capsys, argv, expected):
     # exit 2 is reserved for solvers that hit their iteration cap
@@ -459,7 +463,9 @@ def test_usage_error_exits_one_with_one_line(capsys, argv, expected):
 def test_oracle_without_instances_exits_one(capsys):
     assert main(["oracle", "--instances", "0"]) == 1
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == ["error: need at least one instance"]
+    assert captured.err.splitlines() == [
+        "error: hotmine oracle: argument --instances: must be an int >= 1, got '0'"
+    ]
     assert captured.out == ""
 
 
@@ -873,7 +879,7 @@ def test_negative_max_fppt_exits_one(capsys, command):
     assert main([command, "--max-fppt", "-1"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [
-        f"error: hotmine {command}: argument --max-fppt: must be a non-negative int, got '-1'"
+        f"error: hotmine {command}: argument --max-fppt: must be an int >= 0, got '-1'"
     ]
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_similarity
+from hotmine import pipeline
 from hotmine.bundling import bundle
 from hotmine.errors import InputError, check_int
 from hotmine.evaluation import evaluate
@@ -120,6 +121,23 @@ def test_evaluate_and_run_br_refuse_a_budget_that_is_no_int(max_fppt):
     msg = f"^max_fppt must be an int, got {max_fppt!r}$"
     with pytest.raises(InputError, match=msg):
         evaluate([c.members for c in data.candidates], data.truth, max_fppt=max_fppt)
+    with pytest.raises(InputError, match=msg):
+        run_br(config, graph, list(data.candidates), truth=data.truth, max_fppt=max_fppt)
+
+
+@pytest.mark.parametrize("max_fppt,msg", [
+    (2.5, "^max_fppt must be an int, got 2.5$"),
+    (True, "^max_fppt must be an int, got True$"),
+    (-1, "^max_fppt must be >= 0, got -1$"),
+])
+def test_run_br_refuses_a_bad_budget_before_any_work(monkeypatch, max_fppt, msg):
+    # the budget was checked only in evaluate, after fit, bundle and refine
+    data, config, graph = small_run()
+
+    def fit(*args, **kwargs):
+        pytest.fail("run_br fitted weights before it checked max_fppt")
+
+    monkeypatch.setattr(pipeline, "estimate_weights", fit)
     with pytest.raises(InputError, match=msg):
         run_br(config, graph, list(data.candidates), truth=data.truth, max_fppt=max_fppt)
 

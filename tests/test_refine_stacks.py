@@ -4,7 +4,12 @@ The reference_* functions are the per-topic reconstructed similarity,
 transition matrix, PageRank, dissimilarity, greedy pass, cut and
 `pipeline._refine_topic` as they stood before refinement ran in stacks of
 equal-size topics. The stacked kernels must reproduce them bit for bit.
+reference_transition_stack, reference_pagerank_stack and
+reference_dissimilarity_stack are those stack kernels as they stood when a
+refine stack held four (T, m, m) arrays at a time.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from hotmine.bundling import CoarseTopic
 from hotmine.candidates import TopicCandidate
 from hotmine.errors import ConvergenceError, InputError
 from hotmine.interestingness import (
+    DEFAULT_PR_TOL,
     TopicGraph,
     pagerank_stack,
     similarity_stack,
@@ -475,3 +481,156 @@ def test_pagerank_cap_inside_a_mixed_stack():
         assert np.array_equal(pi[t], ref_pi) and iterations[t] == ref_iterations
     detections = run_br(roomy, graph, candidates).detections
     assert same_bits(detections, reference_detections(coarse, candidates, roomy))
+
+
+# ------------------------------------------------------------ two stack arrays
+
+
+def reference_transition_stack(weights):
+    """transition_stack as it stood before it wrote P laid out as P^T."""
+    if np.any(weights < 0.0):
+        raise InputError("reconstructed similarity has a negative weight")
+    degrees = weights.sum(axis=-1, keepdims=True)
+    uniform = np.full(weights.shape, 1.0 / weights.shape[-1])
+    return np.divide(weights, degrees, out=uniform, where=degrees > 0.0)
+
+
+def reference_pagerank_stack(p, alpha, tol, max_iter):
+    """pagerank_stack as it stood with its own copy of P^T, which it cut
+    down to the live topics' rows whenever a topic stopped."""
+    count, m = p.shape[0], p.shape[-1]
+    x, iterations = np.full((count, m), 1.0 / m), np.zeros(count, dtype=np.int64)
+    jump = (1.0 - alpha) / m
+    live, cur, pt = np.arange(count), x, p.transpose(0, 2, 1).copy()
+    for iteration in range(1, max_iter + 1):
+        nxt = alpha * np.matmul(pt, cur[..., None])[..., 0] + jump
+        done = np.abs(nxt - cur).sum(axis=-1) < tol
+        cur = nxt
+        if done.any():
+            x[live[done]], iterations[live[done]] = nxt[done], iteration
+            if done.all():
+                return x, iterations
+            live, cur, pt = live[~done], nxt[~done], pt[~done]
+    raise ConvergenceError(
+        f"pagerank did not converge within {max_iter} iterations (tol={tol})"
+    )
+
+
+def reference_dissimilarity_stack(weights, bandwidth):
+    """dissimilarity_stack as it stood with a temporary beside its result."""
+    values = np.exp(-(weights ** 2) / bandwidth)
+    values.reshape(len(values), -1)[:, :: values.shape[-1] + 1] = 0.0
+    return values
+
+
+@st.composite
+def symmetric_stacks(draw):
+    """Symmetric (T, m, m) similarity stacks, T >= 2, with a zero diagonal;
+    some nodes lose every edge, which leaves all-zero (dangling) rows."""
+    count = draw(st.integers(2, 5))
+    m = draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, 12)))
+    values = draw(st.lists(WEIGHTS, min_size=count * m * m, max_size=count * m * m))
+    weights = np.triu(np.reshape(values, (count, m, m)), 1)
+    weights += weights.transpose(0, 2, 1)
+    dangling = np.reshape(draw(st.lists(st.booleans(), min_size=count * m, max_size=count * m)), (count, m))
+    weights[dangling] = 0.0
+    weights.transpose(0, 2, 1)[dangling] = 0.0
+    return weights
+
+
+def assert_stacks_match_references(weights, alpha, max_iter, bandwidth):
+    p, expected_p = transition_stack(weights), reference_transition_stack(weights)
+    assert p.shape == expected_p.shape and p.tobytes() == expected_p.tobytes()
+    assert p.transpose(0, 2, 1).flags.c_contiguous
+    try:
+        expected = reference_pagerank_stack(expected_p, alpha, DEFAULT_PR_TOL, max_iter)
+    except ConvergenceError as exc:
+        with pytest.raises(ConvergenceError) as got:
+            pagerank_stack(p, alpha, DEFAULT_PR_TOL, max_iter)
+        assert str(got.value) == str(exc)
+    else:
+        pi, iterations = pagerank_stack(p, alpha, DEFAULT_PR_TOL, max_iter)
+        assert pi.tobytes() == expected[0].tobytes()
+        assert iterations.tolist() == expected[1].tolist()
+        # a P laid out as itself gets the same scores through its own copy
+        pi, iterations = pagerank_stack(expected_p, alpha, DEFAULT_PR_TOL, max_iter)
+        assert pi.tobytes() == expected[0].tobytes()
+        assert iterations.tolist() == expected[1].tolist()
+    d = dissimilarity_stack(weights, bandwidth)
+    assert d.tobytes() == reference_dissimilarity_stack(weights, bandwidth).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=symmetric_stacks(),
+    alpha=st.sampled_from([0.0, 0.5, 0.9]),
+    max_iter=st.sampled_from([1, 4, 200]),
+    bandwidth=st.sampled_from([0.5, 10.0]),
+)
+def test_stack_kernels_match_the_copies_they_replace(weights, alpha, max_iter, bandwidth):
+    # max_iter 1 and 4 stop some topics before others, or hit the cap
+    assert_stacks_match_references(weights, alpha, max_iter, bandwidth)
+
+
+def test_stack_kernels_match_the_copies_they_replace_on_a_large_stack():
+    # long enough rows for every vector loop of divide, exp and the gemv
+    rng = np.random.default_rng(3)
+    weights = np.triu(rng.uniform(0.0, 4.0, size=(3, 130, 130)) * (rng.random((3, 130, 130)) < 0.3), 1)
+    weights += weights.transpose(0, 2, 1)
+    weights[1, 7] = weights[1, :, 7] = 0.0
+    assert_stacks_match_references(weights, 0.9, 200, 10.0)
+
+
+def two_topic_stack(m):
+    """Two coarse topics of m members and their weighted sources: one
+    topic is a clique of one fragment, whose walk stops at its first step,
+    the other a chain of overlapping fragments, whose walk takes longer."""
+    rng = np.random.default_rng(11)
+    candidates = [TopicCandidate(frozenset(range(m)), 1.5)]
+    for lo in range(m, 2 * m - 10, 10):
+        candidates.append(TopicCandidate(frozenset(range(lo, lo + 20)), float(rng.uniform(0.5, 2.0))))
+    coarse = [
+        CoarseTopic(frozenset(range(m)), (0,)),
+        CoarseTopic(frozenset(range(m, 2 * m)), tuple(range(1, len(candidates)))),
+    ]
+    return coarse, candidates
+
+
+def test_a_refine_stack_holds_two_stack_arrays_at_a_time(monkeypatch):
+    m = 300
+    coarse, candidates = two_topic_stack(m)
+    config = PipelineConfig()
+    shapes, iterations, shared = [], [], []
+
+    def spy(p, *controls):
+        real_matmul = np.matmul
+
+        def matmul(a, *args, **kwargs):
+            shared.append(bool(np.shares_memory(a, p)))
+            return real_matmul(a, *args, **kwargs)
+
+        shapes.append(p.shape)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "matmul", matmul)
+            pi, its = pagerank_stack(p, *controls)
+        iterations.append(its.tolist())
+        return pi, its
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "pagerank_stack", spy)
+        spied = pipeline._refine_topics(coarse, candidates, config, True)
+    assert shapes == [(2, m, m)]
+    # the topics stop at different steps, and P^T is p's own buffer throughout
+    assert iterations[0][0] != iterations[0][1]
+    assert shared and all(shared)
+
+    tracemalloc.start()
+    try:
+        detections = pipeline._refine_topics(coarse, candidates, config, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same_bits(spied, reference_detections(coarse, candidates, config))
+    assert same_bits(detections, spied)
+    stack_bytes = 2 * m * m * 8
+    assert peak < 2.5 * stack_bytes, f"peak {peak / stack_bytes:.2f} stack arrays"
