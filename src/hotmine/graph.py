@@ -12,10 +12,11 @@ proportion to the stored nonzeros, never n x n, and no module imports
 scipy, except SimilarityGraph.adjacency, a view for callers that want one.
 Where two entry sets meet (a transpose, a union), entries are addressed by
 their row-major int64 key i*n + j. Both are exchanged on disk in a plain
-triplet text format (see load_similarity). A matrix only feeds its own
-modality's kNN graph: pipeline.build_mixed_graph_from_files builds each in
-its own process, and the textual child sends back its kNN graph, not its
-matrix, so no process holds both matrices.
+triplet text format (see load_similarity). A load peaks at about the
+parsed rows, the matrix it keeps and one slab of work arrays. A matrix only
+feeds its own modality's kNN graph: pipeline.build_mixed_graph_from_files
+builds each in its own process, and the textual child sends back its kNN
+graph, not its matrix, so no process holds both matrices.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ SYMMETRY_TOL = 1e-9
 _TRIPLET = np.dtype([("i", np.int32), ("j", np.int32), ("v", np.float64)])
 # names np.loadtxt would open through a decompressor
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+_SLAB = 2 ** 14  # triplets placed at a time by load_similarity
 
 
 def _keys(n: int, indptr: np.ndarray, indices: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -296,8 +298,8 @@ def load_similarity(path: str | Path) -> SimilarityMatrix:
 def _read_symmetric(fh: TextIO, path: Path, n: int, nnz: int) -> tuple | None:
     """CSR arrays of upper + upper.T from the upper triangle in the body
     after fh's header line, parsed in one call and checked as arrays; None
-    if the body does not parse or a check fails. Each large array is freed
-    once used, to keep the peak low."""
+    if the body does not parse or a check fails. Beside the parsed rows it
+    holds the arrays it returns and one slab's temporaries."""
     # Given a str path, np.loadtxt opens the file itself and reads it in
     # large chunks; given a file, it iterates it line by line, which is
     # slower. The path is given where reading the file again is safe: a
@@ -317,34 +319,49 @@ def _read_symmetric(fh: TextIO, path: Path, n: int, nnz: int) -> tuple | None:
     valid = (0 <= i) & (i < j) & (j < n) & (v >= 0.0) & (v <= 1.0)
     if len(rows) != nnz or not valid.all():
         return None
-    # Row-major keys i*n + j in strict ascent, as save_similarity writes
-    # them, hold no repeated pair; otherwise sorted keys show one as equal
-    # neighbours.
-    keys = i.astype(np.int64) * n + j
-    if np.all(keys[1:] > keys[:-1]):
-        del keys  # i, j, v stay views of rows: copies raised the peak RSS
-    else:
-        order = np.argsort(keys)
-        keys = keys[order]
-        if np.any(keys[1:] == keys[:-1]):
-            return None
-        del keys
+    del valid
+    # i, j, v stay views of rows when the pairs come in row-major order, as
+    # save_similarity writes them: copies would raise the peak. Once sorted,
+    # a pair given twice shows as equal neighbours.
+    if not _row_major(i, j):
+        order = np.argsort(i.astype(np.int64) * n + j)
         i, j, v = i[order], j[order], v[order]
         del rows, order
+        if not _row_major(i, j):
+            return None
     # Row r of upper + upper.T is column r of the upper triangle, rows
     # ascending, then row r of it: the two halves interleave without a sort.
+    # Upper triplet e of row i lands at e + (lower entries in rows <= i); the
+    # lower half is placed one slab at a time, each column's entries in
+    # storage order after those already placed.
     lower, upper = np.bincount(j, minlength=n), np.bincount(i, minlength=n)
-    in_upper = np.repeat(np.tile([False, True], n), np.column_stack((lower, upper)).ravel())
-    by_column = np.argsort(j, kind="stable")
-    lower_i, lower_v = i[by_column], v[by_column]
-    del i, by_column
-    indices = np.empty(len(in_upper), dtype=np.int32)
-    indices[in_upper], indices[~in_upper] = j, lower_i
-    del j, lower_i
-    data = np.empty(len(in_upper))
-    data[in_upper], data[~in_upper] = v, lower_v
     indptr = np.concatenate(([0], np.cumsum(lower + upper)))
+    through = np.cumsum(lower)
+    free = indptr[:-1].copy()  # each row's next lower-half slot
+    indices, data = np.empty(2 * nnz, dtype=np.int32), np.empty(2 * nnz)
+    for lo in range(0, nnz, _SLAB):
+        si, sj, sv = i[lo : lo + _SLAB], j[lo : lo + _SLAB], v[lo : lo + _SLAB]
+        slot = through[si]
+        slot += np.arange(lo, lo + len(si))
+        indices[slot], data[slot] = sj, sv
+        by_column = np.argsort(sj, kind="stable")
+        column = sj[by_column]
+        head = np.flatnonzero(np.diff(column, prepend=-1))
+        run = np.diff(head, append=len(column))
+        slot = free[column]
+        slot += np.arange(len(column)) - np.repeat(head, run)
+        indices[slot], data[slot] = si[by_column], sv[by_column]
+        free[column[head]] += run
+    if v.all():
+        return indptr, indices, data
     return _kept(indptr, indices, data, data != 0.0)  # a 0.0 triplet is no edge
+
+
+def _row_major(i: np.ndarray, j: np.ndarray) -> bool:
+    """Whether the pairs (i, j) strictly ascend in row-major order."""
+    same_row = i[1:] == i[:-1]
+    same_row &= j[1:] > j[:-1]
+    return bool(np.all(same_row | (i[1:] > i[:-1])))
 
 
 def _raise_first_bad_line(fh: TextIO, path: Path, n: int, nnz: int) -> NoReturn:

@@ -54,14 +54,23 @@ def similarity_stack(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Node ids (T, m) and reconstructed weights (T, m, m) of T topics of m
     members each: per topic, the source weights added in source order over
-    the pairs inside the topic."""
+    the pairs inside the topic. The weights are exactly symmetric."""
+    nodes, held, source_weight = stack_sources(topics, candidates)
+    return nodes, fill_similarity(held, source_weight)
+
+
+def stack_sources(
+    topics: Sequence[CoarseTopic], candidates: Sequence[TopicCandidate]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What similarity_stack builds its weights from: the node ids (T, m),
+    which members each topic's S source slots hold (T, S, m) and the slots'
+    weights (T, S). A topic's slots past its last source hold no member and
+    weight 0."""
     if len({len(topic.members) for topic in topics}) != 1:
         raise InputError("a similarity stack needs topics of one size")
     nodes = np.array([sorted(topic.members) for topic in topics], dtype=np.int64)
     count, m = nodes.shape
     depth = max(len(topic.sources) for topic in topics)
-    # one slot per (topic, source position); a topic's slots past its last
-    # source hold no member and weight 0
     slots, weight, sizes, members = [], [], [], []
     for t, topic in enumerate(topics):
         for s, k in enumerate(topic.sources):
@@ -77,8 +86,7 @@ def similarity_stack(
     source_weight = np.zeros((count, depth))
     source_weight.ravel()[slots] = weight
     # each member's position in its topic, from one search over the topics'
-    # node ids offset by topic, ending in a key above every needle: the
-    # (T, S, m) membership of the sources
+    # node ids offset by topic, ending in a key above every needle
     members = np.asarray(members, dtype=np.int64)
     slot = np.repeat(np.asarray(slots, dtype=np.int64), sizes)
     span = int(max(nodes.max(initial=0), members.max(initial=0))) + 1
@@ -88,13 +96,23 @@ def similarity_stack(
     hit = keys[at] == needles
     held = np.zeros((count, depth, m), dtype=bool)
     held.reshape(count * depth, m)[slot[hit], at[hit] % m] = True
-    # source by source in order: each covered pair adds the source's weight
-    weights = np.zeros((count, m, m))
+    return nodes, held, source_weight
+
+
+def fill_similarity(held: np.ndarray, source_weight: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The (T, m, m) weights of stack_sources' membership and slot weights,
+    written into out if given, else into a new array: source by source in
+    order, each covered pair adds the source's weight. Both triangles take
+    the same adds, so the result is exactly symmetric."""
+    count, depth, m = held.shape
+    weights = np.empty((count, m, m)) if out is None else out
+    weights.fill(0.0)
+    pair = np.empty((count, m, m), dtype=bool)
     for s in range(depth):
-        pair = held[:, s, :, None] & held[:, s, None, :]
+        np.logical_and(held[:, s, :, None], held[:, s, None, :], out=pair)
         np.add(weights, source_weight[:, s, None, None], out=weights, where=pair)
     weights.reshape(count, m * m)[:, :: m + 1] = 0.0
-    return nodes, weights
+    return weights
 
 
 def reconstructed_similarity(
@@ -105,21 +123,24 @@ def reconstructed_similarity(
     return TopicGraph(tuple(nodes[0].tolist()), weights[0])
 
 
-def transition_stack(weights: np.ndarray) -> np.ndarray:
-    """Row-normalize a (T, m, m) similarity stack into stochastic matrices.
+def transition_stack(weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-normalize a symmetric (T, m, m) similarity stack, as
+    similarity_stack builds it, into stochastic matrices.
 
     A node with no positive outgoing weight gets a uniform row, the usual
     dangling-node fix, so every row sums to one exactly. The result is a
     view laid out as the transposes: its .transpose(0, 2, 1) is a
-    C-contiguous stack, the P^T that pagerank_stack multiplies, so that
-    needs no copy of its own.
+    C-contiguous stack, the P^T that pagerank_stack multiplies without a
+    copy. As W is symmetric, P^T[t, j, i] = W[t, j, i] / deg[t, i] divides
+    W elementwise, into out if given: out may be weights itself.
     """
     if np.any(weights < 0.0):
         raise InputError("reconstructed similarity has a negative weight")
-    degrees = weights.sum(axis=-1, keepdims=True).transpose(0, 2, 1)
-    # strided reads, contiguous writes: P^T[t, j, i] = w[t, i, j] / deg[t, i]
-    pt = np.full(weights.shape, 1.0 / weights.shape[-1])
-    np.divide(weights.transpose(0, 2, 1), degrees, out=pt, where=degrees > 0.0)
+    degrees = weights.sum(axis=-1)[:, None, :]  # deg[t, i] over column i of P^T
+    live = degrees > 0.0
+    pt = np.empty(weights.shape) if out is None else out
+    np.divide(weights, degrees, out=pt, where=live)
+    np.copyto(pt, 1.0 / weights.shape[-1], where=~live)
     return pt.transpose(0, 2, 1)
 
 
@@ -149,6 +170,8 @@ def pagerank_stack(
     if not 0.0 < tol < np.inf:
         raise InputError(f"tol must be positive and finite, got {tol}")
     max_iter = check_int("max_iter", max_iter, 1)
+    if p.ndim != 3 or p.shape[1] != p.shape[2]:
+        raise InputError(f"a transition stack must have shape (T, m, m), got {p.shape}")
     count, m = p.shape[0], p.shape[-1]
     if m == 0:
         raise InputError("empty transition matrix")
@@ -161,20 +184,26 @@ def pagerank_stack(
 
     # pi <- alpha * P^T pi + (1 - alpha)/m from the uniform vector. Stacked
     # matmul runs the gemv of a lone pt @ x, so the bits match. P^T is a view
-    # when p comes from transition_stack, and finished rows keep iterating
-    # rather than be dropped from a copy of it.
+    # when p comes from transition_stack; each step multiplies only the runs
+    # of topics still live, as slices of it, and a stopped topic's row of x
+    # is never written again.
     x, iterations = np.full((count, m), 1.0 / m), np.zeros(count, dtype=np.int64)
     jump = (1.0 - alpha) / m
-    live, cur, pt = np.ones(count, dtype=bool), x, np.ascontiguousarray(p.transpose(0, 2, 1))
+    pt, runs = np.ascontiguousarray(p.transpose(0, 2, 1)), [(0, count)]
     for iteration in range(1, max_iter + 1):
-        nxt = alpha * np.matmul(pt, cur[..., None])[..., 0] + jump
-        done = live & (np.abs(nxt - cur).sum(axis=-1) < tol)
-        cur = nxt
-        if done.any():
-            x[done], iterations[done] = nxt[done], iteration
-            live &= ~done
+        stopped = False
+        for lo, hi in runs:
+            nxt = alpha * np.matmul(pt[lo:hi], x[lo:hi, :, None])[..., 0] + jump
+            done = np.abs(nxt - x[lo:hi]).sum(axis=-1) < tol
+            x[lo:hi] = nxt
+            if done.any():
+                iterations[lo:hi][done], stopped = iteration, True
+        if stopped:
+            live = iterations == 0
             if not live.any():
                 return x, iterations
+            edges = np.flatnonzero(np.diff(live, prepend=False, append=False)).tolist()
+            runs = list(zip(edges[::2], edges[1::2]))
     raise ConvergenceError(
         f"pagerank did not converge within {max_iter} iterations (tol={tol})"
     )

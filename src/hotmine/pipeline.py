@@ -15,8 +15,8 @@ The driver glues the stages together behind one config object:
    in stacks of equal size: one vectorized pass per (size, chunk), a few
    Python steps per source candidate, and one record per topic, O(members)
    to fill; a topic that passes through gets its record and no other. A
-   stack holds at most two (T, m, m) arrays of at most STACK_FLOATS floats
-   at once;
+   stack holds one (T, m, m) array of at most STACK_FLOATS floats: W, then
+   P^T over it, then W again, then D over it;
 4. optionally score the detections against ground truth.
 
 `stop_after` lets callers run the weaker prefixes of the pipeline (rank
@@ -45,15 +45,15 @@ from .evaluation import EvaluationReport, GroundTruth, evaluate, write_curves
 from .graph import (
     SimilarityGraph, SimilarityMatrix, gaussian_affinity, knn_sparsify, load_similarity, mix_graphs
 )
-from .interestingness import pagerank_stack, similarity_stack, transition_stack
+from .interestingness import fill_similarity, pagerank_stack, stack_sources, transition_stack
 from .ranking import apply_weights, estimate_weights, rank
 from .refining import cut_stack, dissimilarity_stack, greedy_stack
 
 STAGES = ("rank", "bundle", "refine")
 
 # Largest (T, m, m) array one refine stack may hold: 8 MiB of floats. A
-# stack holds at most two such arrays at once, so refine needs about
-# 2 x 8 MiB beyond its inputs. A topic above it is refined as a stack of one.
+# stack holds one such array, so refine needs about 8 MiB beyond its
+# inputs. A topic above it is refined as a stack of one.
 STACK_FLOATS = 2 ** 20
 
 
@@ -181,7 +181,8 @@ def build_mixed_graph(
     corpora work with the large-corpus defaults.
     """
     _check_sizes(w_vis.n, w_txt.n)
-    return mix_graphs(_modality_graph(config, w_vis, "vis"), _modality_graph(config, w_txt, "txt"))
+    g_vis = _knn_graph(config, _affinity(config, w_vis), "vis")
+    return mix_graphs(g_vis, _knn_graph(config, _affinity(config, w_txt), "txt"))
 
 
 def _check_sizes(n_vis: int, n_txt: int) -> None:
@@ -191,12 +192,18 @@ def _check_sizes(n_vis: int, n_txt: int) -> None:
         raise InputError(f"a graph needs at least 2 pages, got n={n_vis}")
 
 
-def _modality_graph(config: PipelineConfig, matrix: SimilarityMatrix, kind: str) -> SimilarityGraph:
-    """One modality's kNN graph: the kernel if the config applies it, then
-    kNN with the modality's neighbor count (knn_vis or knn_txt)."""
+def _affinity(config: PipelineConfig, matrix: SimilarityMatrix) -> SimilarityMatrix:
+    """One modality's affinity: its raw matrix, through the kernel if the
+    config applies it. A caller that rebinds its name for the raw matrix to
+    the result holds the two at once only while the kernel runs."""
     if config.apply_kernel:
-        matrix = gaussian_affinity(matrix, sigma2=config.sigma2_affinity)
-    return knn_sparsify(matrix, min(getattr(config, f"knn_{kind}"), matrix.n - 1), kind=kind)
+        return gaussian_affinity(matrix, sigma2=config.sigma2_affinity)
+    return matrix
+
+
+def _knn_graph(config: PipelineConfig, affinity: SimilarityMatrix, kind: str) -> SimilarityGraph:
+    """One modality's kNN graph, with its neighbor count (knn_vis or knn_txt)."""
+    return knn_sparsify(affinity, min(getattr(config, f"knn_{kind}"), affinity.n - 1), kind=kind)
 
 
 def build_mixed_graph_from_files(config: PipelineConfig, vis: str | Path, txt: str | Path) -> SimilarityGraph:
@@ -234,7 +241,8 @@ def build_mixed_graph_from_files(config: PipelineConfig, vis: str | Path, txt: s
             got = _receive(feed)  # txt's n, its load error, or None
             if type(got) is int:
                 _check_sizes(w_vis.n, got)
-                g_vis = _modality_graph(config, w_vis, "vis")
+                w_vis = _affinity(config, w_vis)
+                g_vis = _knn_graph(config, w_vis, "vis")
                 del w_vis
                 got = _receive(feed)  # txt's graph, its graph error, or None
     except BaseException:
@@ -259,7 +267,8 @@ def _send_txt_side(out: BinaryIO, config: PipelineConfig, txt: str | Path) -> No
         w_txt = load_similarity(txt)
         pickle.dump(w_txt.n, out, protocol=5)
         out.flush()  # the reader checks the sizes while the kNN runs
-        result: Any = _modality_graph(config, w_txt, "txt")
+        w_txt = _affinity(config, w_txt)
+        result: Any = _knn_graph(config, w_txt, "txt")
     except BaseException as exc:  # raised again by the reader
         result = exc
     pickle.dump(result, out, protocol=5)
@@ -292,11 +301,15 @@ def _refine_topics(
     for m, positions in sizes.items():
         step = max(1, STACK_FLOATS // (m * m))
         for chunk in (positions[lo : lo + step] for lo in range(0, len(positions), step)):
-            nodes, w = similarity_stack([coarse[pos] for pos in chunk], candidates)
-            pi, _ = pagerank_stack(transition_stack(w), config.alpha, config.pr_tol, config.pr_max_iter)
-            d = dissimilarity_stack(w, config.sigma_dissim)
+            nodes, held, source_weight = stack_sources([coarse[pos] for pos in chunk], candidates)
+            # one (T, m, m) buffer: W, then P^T over it, then W again, then D over it
+            stack = fill_similarity(held, source_weight)
+            p = transition_stack(stack, out=stack)
+            pi, _ = pagerank_stack(p, config.alpha, config.pr_tol, config.pr_max_iter)
+            fill_similarity(held, source_weight, out=stack)
+            d = dissimilarity_stack(stack, config.sigma_dissim, out=stack)
             order, gains, deltas, lengths = greedy_stack(pi, d, config.lam)
-            del w, d  # so that the next stack starts with none of this one's arrays
+            del stack, p, d  # so that the next stack starts with none of this one's arrays
             cuts = cut_stack(deltas, lengths, config.margin).tolist()
             picked = np.take_along_axis(nodes, order, axis=1).tolist()
             rows = zip(chunk, picked, cuts, pi.tolist(), gains.tolist(), deltas.tolist(), lengths)

@@ -56,9 +56,12 @@ class RefinedTopic:
     members: frozenset[int] | None = None
 
 
-def dissimilarity_stack(weights: np.ndarray, bandwidth: float = DEFAULT_BANDWIDTH) -> np.ndarray:
+def dissimilarity_stack(
+    weights: np.ndarray, bandwidth: float = DEFAULT_BANDWIDTH, out: np.ndarray | None = None
+) -> np.ndarray:
     """D_ij = exp(-s_ij^2 / bandwidth) off the diagonal, 0 on it, for each
-    matrix of a (T, m, m) similarity stack.
+    matrix of a (T, m, m) similarity stack, written into out if given: out
+    may be weights itself.
 
     High reconstructed similarity means low dissimilarity. The diagonal is
     zeroed so that goodness never charges a member against itself.
@@ -66,7 +69,7 @@ def dissimilarity_stack(weights: np.ndarray, bandwidth: float = DEFAULT_BANDWIDT
     if bandwidth <= 0.0 or not np.isfinite(bandwidth):
         raise InputError(f"bandwidth must be a positive real, got {bandwidth}")
     # the ufuncs of exp(-(w ** 2) / bandwidth), one buffer for all four
-    values = np.square(weights, dtype=float)
+    values = np.square(weights, out=out, dtype=float)
     np.negative(values, out=values)
     np.divide(values, bandwidth, out=values)
     np.exp(values, out=values)
@@ -139,25 +142,31 @@ def greedy_stack(
     dissimilarities: selection order and gains, both (T, m), relative drops
     (T, m - 1) and the count of defined drops per topic. Row t's drops are
     deltas[t, :lengths[t]], up to its first non-positive gain. A member's
-    cross term is one running sum, fed by D's row and column j once j is chosen.
+    cross term is one running sum, fed by D's row and column j once j is
+    chosen; pi and D must be finite, so that a chosen member's -inf stays
+    below every other.
     """
     count, m = pi.shape
     if m == 0:
         raise InputError("cannot refine an empty topic")
+    if d.shape != (count, m, m):
+        raise InputError(f"dissimilarity shape {d.shape} does not match scores of shape {pi.shape}")
     if not 0.0 < lam < np.inf:
         raise InputError(f"lam must be positive and finite, got {lam}")
+    if not (np.isfinite(pi).all() and np.isfinite(d.min(initial=0.0)) and np.isfinite(d.max(initial=0.0))):
+        raise InputError("scores and dissimilarities must be finite")
     topics = np.arange(count)
+    base = lam * pi  # lam * pi_p, and -inf once p is chosen
     cross = np.zeros((count, m))  # sum_{i in P} pi_i * (D_ip + D_pi)
-    selected = np.zeros((count, m), dtype=bool)
+    charge, current = np.empty((count, m)), np.empty((count, m))
     order, gains = np.empty((count, m), dtype=np.int64), np.empty((count, m))
-    current = lam * pi - pi * cross
     for step in range(m):  # O(T * m) a step
-        masked = np.where(selected, -np.inf, current)
-        j = masked.argmax(axis=-1)  # first max wins: lower index on ties
-        order[:, step], gains[:, step] = j, masked[topics, j]
-        selected[topics, j] = True
+        np.multiply(pi, cross, out=charge)
+        np.subtract(base, charge, out=current)
+        j = current.argmax(axis=-1)  # first max wins: lower index on ties
+        order[:, step], gains[:, step] = j, current[topics, j]
+        base[topics, j] = -np.inf
         cross += pi[topics, j][:, None] * (d[topics, j] + d[topics, :, j])
-        current = lam * pi - pi * cross
     with np.errstate(divide="ignore", invalid="ignore"):
         deltas = (gains[:, :-1] - gains[:, 1:]) / gains[:, :-1]
     # The trace is meaningless from the first non-positive gain on.

@@ -5,9 +5,11 @@ import io
 import os
 import pickle
 import pickletools
+import stat
 import time
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +32,7 @@ from hotmine.graph import (
     mix_graphs,
     save_similarity,
 )
-from hotmine import pipeline
+from hotmine import graph, pipeline
 from hotmine.pipeline import PipelineConfig, _receive, _send_txt_side, build_mixed_graph, build_mixed_graph_from_files
 
 
@@ -1156,3 +1158,154 @@ def test_loader_matches_scipy_assembly(tmp_path_factory, body):
     loaded = load_similarity(path)
     same_csr((loaded.indptr, loaded.indices, loaded.data), upper + upper.T)
     assert loaded.indices.dtype == np.int32
+
+
+# --------------------------------------------------------------- slabbed assembly
+
+
+def reference_read_symmetric(fh, path, n, nnz):
+    """graph._read_symmetric as it stood before it placed each half straight
+    into its slots: int64 row-major keys to check the order, and full-size
+    masks and gathers to interleave the two halves."""
+    source = dict(fname=fh)
+    if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) and path.suffix not in graph._COMPRESSED:
+        source = dict(fname=os.path.abspath(path), skiprows=1, encoding=fh.encoding)
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(**source, dtype=graph._TRIPLET, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    i, j, v = rows["i"], rows["j"], rows["v"]
+    valid = (0 <= i) & (i < j) & (j < n) & (v >= 0.0) & (v <= 1.0)
+    if len(rows) != nnz or not valid.all():
+        return None
+    keys = i.astype(np.int64) * n + j
+    if not np.all(keys[1:] > keys[:-1]):
+        order = np.argsort(keys)
+        keys = keys[order]
+        if np.any(keys[1:] == keys[:-1]):
+            return None
+        i, j, v = i[order], j[order], v[order]
+    lower, upper = np.bincount(j, minlength=n), np.bincount(i, minlength=n)
+    in_upper = np.repeat(np.tile([False, True], n), np.column_stack((lower, upper)).ravel())
+    by_column = np.argsort(j, kind="stable")
+    indices = np.empty(len(in_upper), dtype=np.int32)
+    indices[in_upper], indices[~in_upper] = j, i[by_column]
+    data = np.empty(len(in_upper))
+    data[in_upper], data[~in_upper] = v, v[by_column]
+    indptr = np.concatenate(([0], np.cumsum(lower + upper)))
+    return graph._kept(indptr, indices, data, data != 0.0)
+
+
+def read_body(read, path):
+    """read(fh, path, n, nnz) on a triplet file, as load_similarity calls it."""
+    with open(path) as fh:
+        n, nnz = map(int, fh.readline().split())
+        return read(fh, path, n, nnz)
+
+
+def assert_same_arrays(got, want):
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert [a.dtype for a in got] == [a.dtype for a in want]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@st.composite
+def upper_bodies(draw):
+    """Triplet files over up to 30 pages: upper-triangle pairs in row-major
+    or drawn order, now and then one given twice, values that include 0.0."""
+    n = draw(st.integers(2, 30))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=80, unique=draw(st.integers(0, 9)) > 0))
+    if draw(st.booleans()):
+        chosen.sort()
+    lines = [f"{i} {j} {draw(VALUES)}" for i, j in chosen]
+    return "\n".join([f"{n} {len(chosen)}", *lines]) + "\n"
+
+
+@given(text=upper_bodies(), slab=st.sampled_from([1, 2, 3, 7, graph._SLAB]))
+@settings(max_examples=300, deadline=None)
+def test_slabbed_assembly_matches_the_keyed_one(tmp_path_factory, text, slab):
+    # slabs of a few triplets split most columns between them
+    path = tmp_path_factory.mktemp("slab") / "m.sim"
+    path.write_text(text)
+    want = read_body(reference_read_symmetric, path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph, "_SLAB", slab)
+        assert_same_arrays(read_body(graph._read_symmetric, path), want)
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_a_column_longer_than_a_slab_keeps_its_row_order(tmp_path, shuffled):
+    # column n - 1 holds every other page, so slabs of the real size split it
+    n = graph._SLAB + 50
+    rng = np.random.default_rng(9)
+    pairs = [(i, n - 1) for i in range(n - 1)] + [(i, i + 1) for i in range(n - 2)]
+    pairs.sort()
+    if shuffled:
+        rng.shuffle(pairs)
+    values = rng.choice([0.0, 0.5, 0.75], size=len(pairs))
+    path = tmp_path / "m.sim"
+    lines = [f"{i} {j} {v!r}" for (i, j), v in zip(pairs, values.tolist())]
+    path.write_text("\n".join([f"{n} {len(pairs)}", *lines]) + "\n")
+    want = read_body(reference_read_symmetric, path)
+    assert want is not None
+    assert_same_arrays(read_body(graph._read_symmetric, path), want)
+
+
+def traced_peak(call):
+    """call()'s result and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_dense_load_peaks_near_its_parsed_rows_and_its_matrix(tmp_path):
+    # a parsed row takes 16 bytes and the matrix 24 a triplet (two int32
+    # indices, two floats); the keyed assembly peaked at 53 bytes a triplet
+    path = tmp_path / "dense.sim"
+    save_similarity(random_similarity(np.random.default_rng(2), 600), path)
+    matrix, peak = traced_peak(lambda: load_similarity(path))
+    triplets = len(matrix.data) // 2
+    assert triplets == 600 * 599 // 2
+    assert peak < 48 * triplets, f"{peak / triplets:.1f} bytes a triplet"
+
+
+def nbytes(matrix):
+    return sum(a.nbytes for a in csr_arrays(matrix))
+
+
+def test_the_file_builder_holds_no_raw_matrix_beside_its_affinity(tmp_path, monkeypatch):
+    rng = np.random.default_rng(4)
+    paths = [tmp_path / "vis.sim", tmp_path / "txt.sim"]
+    for path in paths:
+        save_similarity(random_similarity(rng, 600, density=0.6), path)
+    raw = load_similarity(paths[0])
+    limit = nbytes(raw) + nbytes(gaussian_affinity(raw))
+    del raw
+    # each process's kNN must find its raw matrix gone; the txt child's
+    # failure comes back as its graph error
+    loaded = []
+    load, knn = pipeline.load_similarity, pipeline.knn_sparsify
+
+    def load_spy(path):
+        matrix = load(path)
+        loaded.append(weakref.ref(matrix))
+        return matrix
+
+    def knn_spy(affinity, *args, **kwargs):
+        assert loaded and loaded[-1]() is None, "the raw matrix is alive beside its affinity"
+        return knn(affinity, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "load_similarity", load_spy)
+    monkeypatch.setattr(pipeline, "knn_sparsify", knn_spy)
+    config = PipelineConfig(knn_vis=8, knn_txt=20)
+    built, peak = traced_peak(lambda: build_mixed_graph_from_files(config, *paths))
+    assert peak < limit, f"peak {peak} bytes, raw matrix + affinity {limit}"
+    monkeypatch.undo()
+    assert_same_matrix(built, build_mixed_graph(config, *map(load_similarity, paths)))

@@ -634,3 +634,143 @@ def test_a_refine_stack_holds_two_stack_arrays_at_a_time(monkeypatch):
     assert same_bits(detections, spied)
     stack_bytes = 2 * m * m * 8
     assert peak < 2.5 * stack_bytes, f"peak {peak / stack_bytes:.2f} stack arrays"
+
+
+# ------------------------------------------------------------ one stack array
+# The reference_*_two_arrays functions are the refine kernels as they stood
+# when a refine stack held two (T, m, m) arrays at a time: W, then P^T and D
+# each in an array of its own. reference_similarity_stack builds W; it is
+# pinned to similarity_stack above.
+
+
+def reference_transition_stack_two_arrays(weights):
+    """P laid out as P^T through strided reads of W, for any W."""
+    degrees = weights.sum(axis=-1, keepdims=True).transpose(0, 2, 1)
+    pt = np.full(weights.shape, 1.0 / weights.shape[-1])
+    np.divide(weights.transpose(0, 2, 1), degrees, out=pt, where=degrees > 0.0)
+    return pt.transpose(0, 2, 1)
+
+
+def reference_pagerank_stack_two_arrays(p, alpha, tol, max_iter):
+    """Every topic of the stack multiplied until the last one stops."""
+    count, m = p.shape[0], p.shape[-1]
+    x, iterations = np.full((count, m), 1.0 / m), np.zeros(count, dtype=np.int64)
+    jump = (1.0 - alpha) / m
+    live, cur, pt = np.ones(count, dtype=bool), x, np.ascontiguousarray(p.transpose(0, 2, 1))
+    for iteration in range(1, max_iter + 1):
+        nxt = alpha * np.matmul(pt, cur[..., None])[..., 0] + jump
+        done = live & (np.abs(nxt - cur).sum(axis=-1) < tol)
+        cur = nxt
+        if done.any():
+            x[done], iterations[done] = nxt[done], iteration
+            live &= ~done
+            if not live.any():
+                return x, iterations
+    raise ConvergenceError(f"pagerank did not converge within {max_iter} iterations (tol={tol})")
+
+
+def reference_greedy_stack_two_arrays(pi, d, lam):
+    """greedy_stack with a fresh -inf mask and lam * pi at every step."""
+    count, m = pi.shape
+    topics = np.arange(count)
+    cross = np.zeros((count, m))
+    selected = np.zeros((count, m), dtype=bool)
+    order, gains = np.empty((count, m), dtype=np.int64), np.empty((count, m))
+    current = lam * pi - pi * cross
+    for step in range(m):
+        masked = np.where(selected, -np.inf, current)
+        j = masked.argmax(axis=-1)
+        order[:, step], gains[:, step] = j, masked[topics, j]
+        selected[topics, j] = True
+        cross += pi[topics, j][:, None] * (d[topics, j] + d[topics, :, j])
+        current = lam * pi - pi * cross
+    with np.errstate(divide="ignore", invalid="ignore"):
+        deltas = (gains[:, :-1] - gains[:, 1:]) / gains[:, :-1]
+    stop = gains <= 0.0
+    stop[:, -1] = True
+    return order, gains, deltas, stop.argmax(axis=-1)
+
+
+def reference_refine_topics_two_arrays(coarse, candidates, config):
+    """pipeline._refine_topics composed of the two-array kernels."""
+    out = [None] * len(coarse)
+    sizes = {}
+    for pos, topic in enumerate(coarse):
+        if len(topic.members) > 2:
+            sizes.setdefault(len(topic.members), []).append(pos)
+        else:
+            out[pos] = DetectedTopic(pos, topic.members, topic.members, topic.sources, True)
+    for m, chunk in sizes.items():
+        nodes, w = reference_similarity_stack([coarse[pos] for pos in chunk], candidates)
+        pi, _ = reference_pagerank_stack_two_arrays(
+            reference_transition_stack_two_arrays(w), config.alpha, config.pr_tol, config.pr_max_iter
+        )
+        d = reference_dissimilarity_stack(w, config.sigma_dissim)
+        order, gains, deltas, lengths = reference_greedy_stack_two_arrays(pi, d, config.lam)
+        cuts = cut_stack(deltas, lengths, config.margin).tolist()
+        picked = np.take_along_axis(nodes, order, axis=1).tolist()
+        for k, pos in enumerate(chunk):
+            topic, sel = coarse[pos], picked[k]
+            out[pos] = DetectedTopic(
+                pos, frozenset(sel[: cuts[k] + 1]), topic.members, topic.sources, False,
+                tuple(pi[k].tolist()), tuple(sel), tuple(gains[k].tolist()),
+                tuple(deltas[k, : lengths[k]].tolist()), cuts[k],
+            )
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=coarse_lists(),
+    max_iter=st.sampled_from([1, 4, 200]),
+    lam=st.sampled_from([0.3, 2.0]),
+)
+def test_one_array_refine_matches_the_two_array_kernels(case, max_iter, lam):
+    coarse, candidates = case
+    config = PipelineConfig(pr_max_iter=max_iter, lam=lam)
+    try:
+        expected = reference_refine_topics_two_arrays(coarse, candidates, config)
+    except ConvergenceError as exc:
+        with pytest.raises(ConvergenceError) as got:
+            pipeline._refine_topics(coarse, candidates, config, True)
+        assert str(got.value) == str(exc)
+        return
+    assert same_bits(pipeline._refine_topics(coarse, candidates, config, True), expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights=symmetric_stacks())
+def test_transition_over_its_own_weights_is_the_strided_fill(weights):
+    expected = reference_transition_stack_two_arrays(weights)
+    assert transition_stack(weights).tobytes() == expected.tobytes()
+    p = transition_stack(weights, out=weights)
+    assert np.shares_memory(p, weights) and p.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=st.one_of(greedy_instances(symmetric=True), greedy_instances(symmetric=False)),
+    bandwidth=st.sampled_from([0.5, 10.0]),
+    lam=st.sampled_from([0.3, 2.0]),
+)
+def test_greedy_stack_matches_its_masked_steps(case, bandwidth, lam):
+    pi, weights = case
+    d = dissimilarity_stack(weights, bandwidth)
+    got, want = greedy_stack(pi, d, lam), reference_greedy_stack_two_arrays(pi, d, lam)
+    for part, array, expected in zip(("order", "gains", "deltas", "lengths"), got, want):
+        assert array.tobytes() == expected.tobytes(), part
+
+
+def test_a_refine_stack_holds_one_stack_array_at_a_time():
+    m = 300
+    coarse, candidates = two_topic_stack(m)
+    config = PipelineConfig()
+    tracemalloc.start()
+    try:
+        detections = pipeline._refine_topics(coarse, candidates, config, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same_bits(detections, reference_refine_topics_two_arrays(coarse, candidates, config))
+    stack_bytes = 2 * m * m * 8
+    assert peak < 1.5 * stack_bytes, f"peak {peak / stack_bytes:.2f} stack arrays"
